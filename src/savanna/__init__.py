@@ -46,7 +46,6 @@ from .integrate import (
     DenominatorFunctions,
     Trajectory,
     denominators,
-    nsfd_impulse,
     nsfd_step,
     reference_step,
     simulate,

@@ -91,8 +91,6 @@ def _build_parser() -> _Parser:
                          help="also extract this level curve")
     p_sweep.add_argument("--curves", metavar="FILE",
                          help="write the level curve CSV here (default: stdout after the grid)")
-    p_sweep.add_argument("--concurrent", action="store_true",
-                         help="evaluate cells in a thread pool (identical output)")
 
     p_presets = sub.add_parser("presets", help="dump a region's defaults and ranges")
     p_presets.add_argument("--region", type=int, choices=(1, 2, 3), required=True)
@@ -199,6 +197,8 @@ def _cmd_simulate(args) -> None:
 
 def _cmd_floquet(args) -> None:
     p = _load_params(args)
+    if args.steps < 1:
+        raise _UsageError(f"--steps must be at least 1, got {args.steps}")
     guess = _parse_state(args.guess, p, VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G))
     rep = floquet_report(p, guess, n=args.steps)
     out = _echo_block(p)
@@ -233,7 +233,7 @@ def _cmd_sweep(args) -> None:
     p = _load_params(args)
     axis1, axis2 = _parse_axes(args.axes)
     try:
-        gs = scan(p, axis1, axis2, args.quantity, concurrent=args.concurrent)
+        gs = scan(p, axis1, axis2, args.quantity)
     except ValueError as exc:
         raise ParameterError(str(exc)) from None
     out = _echo_block(p)

@@ -28,11 +28,13 @@ from .model import (
     NumericalError,
     VegState,
     _impulse,
+    _jacobian,
     _rhs,
     fire_intensity,
     fire_intensity_slope,
     require_valid,
 )
+from .integrate import _rk4_step
 from .thresholds import ThresholdError, compute_thresholds, grassland_orbit_end
 
 __all__ = [
@@ -44,23 +46,18 @@ __all__ = [
 DEFAULT_STEPS = 2048
 
 
+def _require_steps(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"steps per period must be at least 1, got {n}")
+
+
 # ---------------------------------------------------------------------------
 # jacobians
 # ---------------------------------------------------------------------------
 
 def jacobian(s: VegState, p: ModelParams) -> np.ndarray:
     """Exact Jacobian of the flow at ``s``."""
-    ts, tns, g = s.t_s, s.t_ns, s.g
-    a1 = (p.gamma_S * (1.0 - (2.0 * ts + tns) / p.K_T)
-          - p.gamma_NS / p.K_T * tns - p.sigma_G * g - p.mu_S - p.omega_S)
-    a2 = (p.gamma_NS * (1.0 - (ts + 2.0 * tns) / p.K_T)
-          - p.gamma_S / p.K_T * ts)
-    a3 = p.gamma_G * (1.0 - 2.0 * g / p.K_G) - p.sigma_NS * tns - p.mu_G
-    return np.array([
-        [a1, a2, -p.sigma_G * ts],
-        [p.omega_S, -p.mu_NS, 0.0],
-        [0.0, -p.sigma_NS * g, a3],
-    ])
+    return _jacobian(s.t_s, s.t_ns, s.g, p)
 
 
 def jump_jacobian(s: VegState, p: ModelParams) -> np.ndarray:
@@ -82,28 +79,6 @@ def jump_jacobian(s: VegState, p: ModelParams) -> np.ndarray:
 # flow + variational integration (RK4 on the augmented system)
 # ---------------------------------------------------------------------------
 
-def _df_floats(ts, tns, g, p):
-    a1 = (p.gamma_S * (1.0 - (2.0 * ts + tns) / p.K_T)
-          - p.gamma_NS / p.K_T * tns - p.sigma_G * g - p.mu_S - p.omega_S)
-    a2 = (p.gamma_NS * (1.0 - (ts + 2.0 * tns) / p.K_T)
-          - p.gamma_S / p.K_T * ts)
-    a3 = p.gamma_G * (1.0 - 2.0 * g / p.K_G) - p.sigma_NS * tns - p.mu_G
-    return np.array([[a1, a2, -p.sigma_G * ts],
-                     [p.omega_S, -p.mu_NS, 0.0],
-                     [0.0, -p.sigma_NS * g, a3]])
-
-
-def _rk4(ts, tns, g, p, h):
-    a1, b1, c1 = _rhs(ts, tns, g, p)
-    a2, b2, c2 = _rhs(ts + 0.5 * h * a1, tns + 0.5 * h * b1, g + 0.5 * h * c1, p)
-    a3, b3, c3 = _rhs(ts + 0.5 * h * a2, tns + 0.5 * h * b2, g + 0.5 * h * c2, p)
-    a4, b4, c4 = _rhs(ts + h * a3, tns + h * b3, g + h * c3, p)
-    sixth = h / 6.0
-    return (ts + sixth * (a1 + 2.0 * (a2 + a3) + a4),
-            tns + sixth * (b1 + 2.0 * (b2 + b3) + b4),
-            g + sixth * (c1 + 2.0 * (c2 + c3) + c4))
-
-
 def _flow_variational(p: ModelParams, anchor: VegState, n: int):
     """Returns (pre-fire state, Phi(tau), integral of trace DF along orbit)."""
     h = p.tau / n
@@ -113,7 +88,7 @@ def _flow_variational(p: ModelParams, anchor: VegState, n: int):
 
     def rhs(sv, pv, qv):
         del qv
-        df = _df_floats(sv[0], sv[1], sv[2], p)
+        df = _jacobian(sv[0], sv[1], sv[2], p)
         return np.array(_rhs(sv[0], sv[1], sv[2], p)), df @ pv, np.trace(df)
 
     for _ in range(n):
@@ -141,6 +116,7 @@ class MonodromyResult:
 def monodromy_full(p: ModelParams, anchor: VegState,
                    n: int = DEFAULT_STEPS) -> MonodromyResult:
     require_valid(p)
+    _require_steps(n)
     pre, phi, q = _flow_variational(p, anchor, n)
     m = jump_jacobian(pre, p) @ phi
     return MonodromyResult(matrix=m, pre_fire_state=pre, fundamental=phi,
@@ -272,7 +248,7 @@ def _period_map(p: ModelParams, x: np.ndarray, n: int) -> np.ndarray:
     ts, tns, g = x
     h = p.tau / n
     for _ in range(n):
-        ts, tns, g = _rk4(ts, tns, g, p, h)
+        ts, tns, g = _rk4_step(ts, tns, g, p, h)
     if not (math.isfinite(ts) and math.isfinite(tns) and math.isfinite(g)):
         raise NumericalError("period map diverged")
     ts, tns, g = _impulse(max(ts, 0.0), max(tns, 0.0), max(g, 0.0), p)
@@ -299,8 +275,8 @@ def locate_savanna_orbit(p: ModelParams, guess: VegState, tol: float = 1e-10,
     ``I - M`` (M = monodromy at the current point) polish the anchor.
     Convergence to a boundary solution is reported by name, not as an error.
     """
-    require_valid(p)
     rep = compute_thresholds(p)
+    _require_steps(n)
     if not rep.savanna_existence_condition:
         warnings.warn(
             "savanna existence condition fails (needs rho_g0 > 1, and r_g0 > 1"

@@ -25,13 +25,12 @@ from .model import (
     VegState,
     _impulse,
     _rhs,
-    impulse_map,
     require_valid,
 )
 
 __all__ = [
     "DenominatorFunctions", "Trajectory", "denominators", "nsfd_step",
-    "nsfd_impulse", "reference_step", "simulate",
+    "reference_step", "simulate",
 ]
 
 
@@ -50,10 +49,7 @@ def denominators(p: ModelParams, h: float) -> DenominatorFunctions:
     q = max(p.mu_NS, p.gamma_S - (p.mu_S + p.omega_S))
     phi = math.expm1(q * h) / q if q != 0.0 else h
     rate = p.gamma_G - p.mu_G
-    if p.mu_G > 0:
-        phi_g = math.expm1(rate * h) / rate if rate != 0.0 else h
-    else:
-        phi_g = math.exp(p.gamma_G * h) / p.gamma_G
+    phi_g = math.expm1(rate * h) / rate if rate != 0.0 else h
     return DenominatorFunctions(q=q, phi=phi, phi_g=phi_g)
 
 
@@ -70,7 +66,7 @@ def _nsfd_step(ts: float, tns: float, g: float, p: ModelParams,
             "grass update denominator is nonpositive (facilitation term "
             f"sigma_NS*T_NS = {p.sigma_NS * tns:.3g} dominates); reduce the step"
         )
-    # 1 + phi_g*rate == exp(rate*h) when mu_G > 0, keeping the grass step exact
+    # 1 + phi_g*rate == exp(rate*h), keeping the grass step exact
     g_new = g * (1.0 + phi_g * rate) / g_den
     tns_new = (tns + phi * p.omega_S * ts) / (1.0 + phi * p.mu_NS)
     crowd = (p.gamma_S * ts + p.gamma_NS * tns) / p.K_T
@@ -84,11 +80,6 @@ def _nsfd_step(ts: float, tns: float, g: float, p: ModelParams,
 def nsfd_step(s: VegState, p: ModelParams, h: float) -> VegState:
     d = denominators(p, h)
     return VegState(*_nsfd_step(s.t_s, s.t_ns, s.g, p, d.phi, d.phi_g))
-
-
-def nsfd_impulse(s: VegState, p: ModelParams) -> VegState:
-    """Discrete fire event; identical to the continuous-time fire map."""
-    return impulse_map(s, p)
 
 
 def _rk4_step(ts: float, tns: float, g: float, p: ModelParams, h: float):

@@ -4,18 +4,17 @@ A scan rebuilds the parameter set at every grid node and evaluates one scalar
 quantity (any threshold-report field, the savanna spectral radius ``rho_tg``
 or the categorical ``case`` label).  Cells where the quantity is undefined
 carry an explicit marker and are excluded from contour interpolation.
-Cell evaluation is pure, so sequential and concurrent scans are identical.
+Cells are evaluated one after another in row-major order.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, ParameterError, require_valid
+from .model import ModelParams, ParameterError
 from .thresholds import ThresholdError, compute_thresholds, critical_values
 
 __all__ = ["AxisSpec", "GridScan", "LevelCurve", "scan", "level_curve", "classify_grid"]
@@ -92,7 +91,6 @@ def _cell_value(base: ModelParams, quantity: str, name1: str, v1: float,
     and unavailable quantities yield an undefined cell, never an exception."""
     try:
         p = base.replace(**{name1: float(v1), name2: float(v2)})
-        require_valid(p)
         if quantity == "rho_tg":
             from .floquet import floquet_report
 
@@ -118,12 +116,14 @@ def _cell_value(base: ModelParams, quantity: str, name1: str, v1: float,
 
 
 def scan(base: ModelParams, axis1: AxisSpec, axis2: AxisSpec, quantity: str,
-         concurrent: bool = False, max_workers: int | None = None) -> GridScan:
+         concurrent: bool = False) -> GridScan:
     """Evaluate ``quantity`` on the full axis1 x axis2 grid.
 
     ``rho_tg`` cells run the orbit location and monodromy machinery and are
     orders of magnitude slower than threshold fields; a runtime warning is
-    issued for large grids.
+    issued for large grids.  ``concurrent`` is accepted for compatibility
+    only: cells are always evaluated in sequence, because a thread pool
+    measured slower than the plain loop and gives the same result.
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}; expected one of {QUANTITIES}")
@@ -141,27 +141,17 @@ def scan(base: ModelParams, axis1: AxisSpec, axis2: AxisSpec, quantity: str,
 
     a1 = axis1.values()
     a2 = axis2.values()
-    cells = [(i, j) for i in range(axis1.n) for j in range(axis2.n)]
-
-    def run(cell):
-        i, j = cell
-        return _cell_value(base, quantity, axis1.name, a1[i], axis2.name, a2[j])
-
-    if concurrent:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(run, cells))
-    else:
-        results = [run(c) for c in cells]
-
     defined = np.zeros((axis1.n, axis2.n), dtype=bool)
     if quantity == "case":
         values = np.full((axis1.n, axis2.n), "undefined", dtype=object)
     else:
         values = np.full((axis1.n, axis2.n), np.nan)
-    for (i, j), (v, ok) in zip(cells, results):
-        defined[i, j] = ok
-        if ok:
-            values[i, j] = v
+    for i in range(axis1.n):
+        for j in range(axis2.n):
+            v, ok = _cell_value(base, quantity, axis1.name, a1[i], axis2.name, a2[j])
+            defined[i, j] = ok
+            if ok:
+                values[i, j] = v
 
     if not defined.any():
         raise ValueError(f"quantity {quantity!r} is undefined on the whole grid")
@@ -169,10 +159,9 @@ def scan(base: ModelParams, axis1: AxisSpec, axis2: AxisSpec, quantity: str,
                     values=values, defined=defined)
 
 
-def classify_grid(base: ModelParams, axis1: AxisSpec, axis2: AxisSpec,
-                  concurrent: bool = False) -> GridScan:
+def classify_grid(base: ModelParams, axis1: AxisSpec, axis2: AxisSpec) -> GridScan:
     """Case label at every node (shorthand for a ``case`` scan)."""
-    return scan(base, axis1, axis2, "case", concurrent=concurrent)
+    return scan(base, axis1, axis2, "case")
 
 
 # ---------------------------------------------------------------------------

@@ -452,7 +452,6 @@ def critical_values(p: ModelParams) -> CriticalValues:
     ``sigma_ns_star`` needs the forest equilibrium; ``tau_star`` needs
     r_t_g > 1.  Unavailable values are None.
     """
-    require_valid(p)
     rep = compute_thresholds(p)
 
     sigma_g_star = None

@@ -42,6 +42,8 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "classify", "--region", "1", "--set", "oops")[0] == 1
     assert run(capsys, "sweep", "--region", "1", "--quantity", "rho_g0",
                "--axes", "bad")[0] == 1
+    assert run(capsys, "floquet", "--region", "2", "--steps", "0")[0] == 1
+    assert run(capsys, "floquet", "--region", "2", "--steps", "-5")[0] == 1
 
 
 def test_validation_errors_exit_2(tmp_path, capsys):

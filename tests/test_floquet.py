@@ -23,6 +23,7 @@ from savanna import (
     simulate,
     vector_field,
 )
+from savanna.floquet import _period_map
 from savanna.thresholds import ThresholdError
 from draws import draw_region_params, draw_state_in_omega, draw_valid_params
 
@@ -238,6 +239,27 @@ def test_monodromy_determinant_equals_multiplier_product():
     prod = complex(np.prod(eigs))
     assert prod.real == pytest.approx(np.linalg.det(m), rel=1e-8)
     assert abs(prod.imag) < 1e-10 * max(1.0, abs(prod.real))
+
+
+def test_period_map_and_variational_pass_share_the_orbit():
+    # the float RK4 of the period map and the array RK4 of the variational
+    # pass must land on the same pre-fire state, bit for bit
+    for region in (1, 2, 3):
+        p = region_preset(region).params
+        anchor = VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G)
+        for n in (16, 64, 2048):
+            direct = _period_map(p, anchor.as_array(), n)
+            pre = monodromy_full(p, anchor, n).pre_fire_state
+            assert np.array_equal(direct, impulse_map(pre, p).as_array())
+
+
+def test_step_count_below_one_is_rejected():
+    p = case1_region2_params()
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="steps"):
+            locate_savanna_orbit(p, VegState(10, 10, 2), n=n)
+        with pytest.raises(ValueError, match="steps"):
+            monodromy_full(p, VegState(10, 10, 2), n=n)
 
 
 # ---------------------------------------------------------------------------
