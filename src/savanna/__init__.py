@@ -68,4 +68,22 @@ from .sweep import AxisSpec, GridScan, LevelCurve, classify_grid, level_curve, s
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "FireIntensityParams", "LITERATURE_RANGES", "ModelParams",
+    "NumericalError", "PARAM_KEYS", "ParameterError", "RegionPreset",
+    "ValidationReport", "VegState", "dump_params_text", "fire_intensity",
+    "fire_intensity_slope", "impulse_map", "in_omega", "load_params_file",
+    "parse_params_text", "region_preset", "validate", "vector_field",
+    "Classification", "CriticalValues", "SigmaNSEstimation",
+    "ThresholdError", "ThresholdReport", "classify", "compute_thresholds",
+    "critical_values", "estimate_sigma_ns", "eta_g_boundary",
+    "grassland_orbit", "grassland_orbit_end", "tau_boundary",
+    "DenominatorFunctions", "Trajectory", "denominators", "nsfd_step",
+    "reference_step", "simulate",
+    "FloquetReport", "OrbitResult", "cubic_eigenvalues", "floquet_report",
+    "grassland_agreement", "grassland_multipliers_analytic", "jacobian",
+    "jump_jacobian", "locate_savanna_orbit", "monodromy", "monodromy_full",
+    "rho_tg",
+    "AxisSpec", "GridScan", "LevelCurve", "classify_grid", "level_curve",
+    "scan",
+]

@@ -35,7 +35,7 @@ from .model import (
     require_valid,
 )
 from .integrate import _rk4_step
-from .thresholds import ThresholdError, compute_thresholds, grassland_orbit_end
+from .thresholds import compute_thresholds, grassland_orbit_end
 
 __all__ = [
     "FloquetReport", "OrbitResult", "jacobian", "jump_jacobian", "monodromy",
@@ -129,101 +129,18 @@ def monodromy(p: ModelParams, anchor: VegState, n: int = DEFAULT_STEPS) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# 3x3 eigenvalues via the characteristic cubic
+# 3x3 eigenvalues
 # ---------------------------------------------------------------------------
 
-def _cubic_roots(c2: float, c1: float, c0: float) -> list[complex]:
-    """Roots of x^3 + c2 x^2 + c1 x + c0 by the trigonometric/Cardano form."""
-    shift = c2 / 3.0
-    pp = c1 - c2 * c2 / 3.0
-    qq = 2.0 * c2 ** 3 / 27.0 - c2 * c1 / 3.0 + c0
-    disc = (qq / 2.0) ** 2 + (pp / 3.0) ** 3
-    if abs(pp) < 1e-14 and abs(qq) < 1e-14:
-        roots = [0.0 + 0.0j] * 3
-    elif disc > 0.0:
-        u = -qq / 2.0 + math.sqrt(disc)
-        v = -qq / 2.0 - math.sqrt(disc)
-        cu = math.copysign(abs(u) ** (1.0 / 3.0), u)
-        cv = math.copysign(abs(v) ** (1.0 / 3.0), v)
-        y0 = cu + cv
-        # conjugate pair from the quadratic factor y^2 + y0 y + (y0^2 + pp)
-        re = -y0 / 2.0
-        im = math.sqrt(max(0.0, 3.0 * y0 * y0 / 4.0 + pp))
-        roots = [complex(y0), complex(re, im), complex(re, -im)]
-    else:
-        # three real roots: trigonometric form avoids complex cube roots
-        r = math.sqrt(-pp / 3.0)
-        arg = max(-1.0, min(1.0, 3.0 * qq / (2.0 * pp * r) if pp != 0 else 0.0))
-        theta = math.acos(arg)
-        roots = [complex(2.0 * r * math.cos((theta - 2.0 * math.pi * k) / 3.0))
-                 for k in range(3)]
-    return [z - shift for z in roots]
-
-
-def _polish_root(z: complex, c2: float, c1: float, c0: float) -> complex:
-    """Newton polish that only accepts steps reducing |p(z)|.
-
-    Near a multiple root both p and p' are rounding noise and a raw Newton
-    step can throw an exact root far off; the descent guard rejects that.
-    """
-    def val(x):
-        return ((x + c2) * x + c1) * x + c0
-
-    fz = val(z)
-    for _ in range(8):
-        if fz == 0:
-            break
-        df = (3.0 * z + 2.0 * c2) * z + c1
-        if df == 0:
-            break
-        step = fz / df
-        cand = z - step
-        fc = val(cand)
-        if abs(fc) >= abs(fz):
-            break
-        z, fz = cand, fc
-        if abs(step) < 1e-16 * max(1.0, abs(z)):
-            break
-    return z
-
-
-def _eig_residual(m: np.ndarray, lam: complex) -> float:
-    """Residual ||M v - lam v|| / ||v|| with v from the adjugate of M - lam I."""
-    a = m.astype(complex) - lam * np.eye(3)
-    candidates = [np.cross(a[0], a[1]), np.cross(a[0], a[2]), np.cross(a[1], a[2])]
-    v = max(candidates, key=lambda c: np.linalg.norm(c))
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return 0.0  # doubly degenerate eigenvalue: any vector in the plane works
-    v = v / nv
-    return float(np.linalg.norm(m.astype(complex) @ v - lam * v))
-
-
-def cubic_eigenvalues(m: np.ndarray, residual_tol: float = 1e-12) -> np.ndarray:
-    """Eigenvalues of a real 3x3 matrix from its characteristic cubic.
-
-    Closed-form roots are Newton-polished; if the worst eigenpair residual
-    (relative to ||M||) still exceeds ``residual_tol`` the best root is
-    deflated and the remaining quadratic re-solved.
-    """
+def cubic_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a real 3x3 matrix from LAPACK (``np.linalg.eigvals``),
+    largest modulus first, ties by real then imaginary part, descending.
+    The name is kept from the characteristic-cubic solver this replaced."""
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise ValueError("expected a 3x3 matrix")
-    c2 = -float(np.trace(m))
-    c1 = 0.5 * (np.trace(m) ** 2 - np.trace(m @ m))
-    c0 = -float(np.linalg.det(m))
-    roots = [_polish_root(z, c2, c1, c0) for z in _cubic_roots(c2, c1, c0)]
-
-    scale = max(1.0, float(np.linalg.norm(m)))
-    if max(_eig_residual(m, z) for z in roots) / scale > residual_tol:
-        best = min(roots, key=lambda z: abs(((z + c2) * z + c1) * z + c0))
-        b1 = c2 + best
-        b0 = c1 + best * b1
-        disc = b1 * b1 - 4.0 * b0
-        sq = cmath.sqrt(disc)
-        roots = [best, (-b1 + sq) / 2.0, (-b1 - sq) / 2.0]
-        roots = [_polish_root(z, c2, c1, c0) for z in roots]
-    return np.array(sorted(roots, key=lambda z: (-abs(z), -z.real, -z.imag)))
+    eigs = np.linalg.eigvals(m).astype(complex)
+    return np.array(sorted(eigs, key=lambda z: (-abs(z), -z.real, -z.imag)))
 
 
 # ---------------------------------------------------------------------------
@@ -343,20 +260,16 @@ def grassland_multipliers_analytic(p: ModelParams) -> tuple[complex, complex, fl
     xi2 is the bare second root, xi3 is the exact grass-direction multiplier.
     """
     rep = compute_thresholds(p)
-    if not rep.grassland_exists:
-        raise _grassland_missing(rep)
     shrink = 1.0 - p.eta_S * fire_intensity(grassland_orbit_end(p), p.fire)
     xi1 = shrink * cmath.exp(rep.lambda1)
     xi2 = cmath.exp(rep.lambda2)
+    return xi1, xi2, _grass_multiplier(p)
+
+
+def _grass_multiplier(p: ModelParams) -> float:
+    """Exact grass-direction multiplier xi3 of the grassland orbit."""
     rate = p.gamma_G - p.mu_G
-    xi3 = math.exp(-rate * p.tau) / (1.0 - p.eta_G)
-    return xi1, xi2, xi3
-
-
-def _grassland_missing(rep) -> ThresholdError:
-    if rep.r_g0 is not None and rep.r_g0 <= 1.0:
-        return ThresholdError(f"grassland orbit requires r_g0 > 1; got {rep.r_g0:.6g}")
-    return ThresholdError(f"grassland orbit requires rho_g0 > 1; got {rep.rho_g0:.6g}")
+    return math.exp(-rate * p.tau) / (1.0 - p.eta_G)
 
 
 def grassland_agreement(p: ModelParams, n: int = DEFAULT_STEPS) -> dict:
@@ -365,13 +278,9 @@ def grassland_agreement(p: ModelParams, n: int = DEFAULT_STEPS) -> dict:
     analytic route exponentiates a period average; callers log them.
     """
     rep = compute_thresholds(p)
-    if not rep.grassland_exists:
-        raise _grassland_missing(rep)
     anchor = VegState(0.0, 0.0, (1.0 - p.eta_G) * grassland_orbit_end(p))
-    m = monodromy(p, anchor, n)
-    eigs = cubic_eigenvalues(m)
-    rate = p.gamma_G - p.mu_G
-    xi3 = math.exp(-rate * p.tau) / (1.0 - p.eta_G)
+    eigs = cubic_eigenvalues(monodromy(p, anchor, n))
+    xi3 = _grass_multiplier(p)
     # the grass direction is exact in both routes; drop it from the tree pair
     tree_mods = sorted(abs(z) for z in eigs)
     tree_mods.remove(min(tree_mods, key=lambda v: abs(v - xi3)))

@@ -9,6 +9,16 @@ Two schemes are provided:
 * ``reference`` - classical fixed-step fourth-order Runge-Kutta, used as the
   accuracy oracle between fires.
 
+The NSFD tree step keeps ``T_S + T_NS <= K_T`` for every ``h > 0``.  By
+Mickens' rule for nonlocal terms (R. E. Mickens, *Nonstandard Finite
+Difference Models of Differential Equations*, 1994), production
+``P = gamma_S T_S + gamma_NS T_NS'`` and the crowding loss
+``P (T_S' + T_NS') / K_T`` use the new values (primed), so the tree sum
+``Sigma`` obeys ``Sigma' (1 + phi P / K_T) = Sigma + phi P - phi (mu_S T_S +
+mu_NS T_NS' + sigma_G G T_S')`` with ``phi > 0``.  The last bracket is
+nonnegative on a nonnegative state, so ``Sigma <= K_T`` gives
+``Sigma' <= K_T``.
+
 ``simulate`` integrates segment by segment, applying the fire map at every
 multiple of the fire period; the step is snapped to an exact divisor of the
 period so fires land on grid nodes.
@@ -57,7 +67,8 @@ def _nsfd_step(ts: float, tns: float, g: float, p: ModelParams,
                phi: float, phi_g: float):
     """One NSFD update on plain floats.  Order matters: grass first (from the
     old T_NS), then mature trees (from the old T_S), then sensitive trees
-    (from the new T_NS and the old grass)."""
+    (from the new T_NS, which also sets the crowding term, and the old
+    grass)."""
     rate = p.gamma_G - p.mu_G
     g_den = 1.0 + phi_g * (p.gamma_G * g / p.K_G + p.sigma_NS * tns)
     if g_den <= 0.0:
@@ -69,7 +80,7 @@ def _nsfd_step(ts: float, tns: float, g: float, p: ModelParams,
     # 1 + phi_g*rate == exp(rate*h), keeping the grass step exact
     g_new = g * (1.0 + phi_g * rate) / g_den
     tns_new = (tns + phi * p.omega_S * ts) / (1.0 + phi * p.mu_NS)
-    crowd = (p.gamma_S * ts + p.gamma_NS * tns) / p.K_T
+    crowd = (p.gamma_S * ts + p.gamma_NS * tns_new) / p.K_T
     ts_new = (
         ts * (1.0 + phi * (p.gamma_S - p.mu_S - p.omega_S))
         + phi * tns_new * (p.gamma_NS - crowd)

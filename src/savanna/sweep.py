@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, ParameterError
+from .model import ModelParams, NumericalError, ParameterError
 from .thresholds import ThresholdError, compute_thresholds, critical_values
 
 __all__ = ["AxisSpec", "GridScan", "LevelCurve", "scan", "level_curve", "classify_grid"]
@@ -87,8 +87,9 @@ class LevelCurve:
 
 def _cell_value(base: ModelParams, quantity: str, name1: str, v1: float,
                 name2: str, v2: float):
-    """Evaluate one grid node; (value, defined).  Infeasible parameter combos
-    and unavailable quantities yield an undefined cell, never an exception."""
+    """Evaluate one grid node; (value, defined).  Infeasible parameter combos,
+    unavailable quantities and orbits that diverge numerically yield an
+    undefined cell, never an exception."""
     try:
         p = base.replace(**{name1: float(v1), name2: float(v2)})
         if quantity == "rho_tg":
@@ -111,7 +112,7 @@ def _cell_value(base: ModelParams, quantity: str, name1: str, v1: float,
         if v is None or not np.isfinite(v):
             return np.nan, False
         return float(v), True
-    except (ParameterError, ThresholdError, ValueError):
+    except (ParameterError, ThresholdError, ValueError, NumericalError):
         return np.nan, False
 
 

@@ -1,11 +1,10 @@
 """Acceptance suite: one test per criterion, one printed PASS/FAIL line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` (or ``-rA``) to see the
-per-criterion lines.  Criterion 10 is implemented exactly as stated and is
-expected to fail: the discrete tree updates can overshoot the shared tree
-capacity for the largest steps, so full feasible-region invariance does not
-hold even though positivity and the grass cap do (see tests/test_integrate.py
-and notes in the README).
+per-criterion lines.  Criterion 10 checks membership in the full feasible
+region, tree capacity included, after every NSFD step (the invariance
+argument is in the ``savanna.integrate`` docstring; see also
+tests/test_integrate.py).
 """
 
 import itertools

@@ -179,6 +179,19 @@ def test_cubic_eigenvalues_near_degenerate():
     assert sorted(np.real(cubic_eigenvalues(m))) == pytest.approx([1.0, 2.0, 2.0])
 
 
+def test_cubic_eigenvalues_resolve_small_multipliers():
+    # shape of a grassland-anchored monodromy: a tree block with a dominant
+    # and a tiny multiplier, grass coupled in the bottom row only; the small
+    # moduli must come out to a few ulps of the largest, which the
+    # characteristic cubic misses through cancellation
+    v = np.array([[1.0, 2.0], [1.4, -0.5]])
+    m = np.zeros((3, 3))
+    m[:2, :2] = v @ np.diag([1.0, 1e-9]) @ np.linalg.inv(v)
+    m[2] = [1.5e-3, 6.6e-3, 1e-10]
+    mods = np.abs(cubic_eigenvalues(m))
+    assert np.max(np.abs(mods - [1.0, 1e-9, 1e-10])) < 1e-13
+
+
 def test_spectral_radius_trivial_matrices():
     assert np.max(np.abs(cubic_eigenvalues(np.eye(3)))) == pytest.approx(1.0)
     assert np.max(np.abs(cubic_eigenvalues(np.diag([0.5, 0.2, 1.5])))) == pytest.approx(1.5)

@@ -182,17 +182,20 @@ def test_nsfd_rejects_step_too_large_for_facilitation():
     assert out.g > 0
 
 
-def test_nsfd_tree_sum_can_overshoot_capacity():
-    # known limitation: the tree updates are not capacity-invariant for the
-    # largest steps; this pins the phenomenon so regressions are visible
-    p = region_preset(3).params
-    s = VegState(p.K_T * 0.9, 0.0, 0.0)
-    overshoot = 0.0
-    x = s
-    for _ in range(40):
-        x = nsfd_step(x, p, 1.0)
-        overshoot = max(overshoot, x.t_s + x.t_ns - p.K_T)
-    assert overshoot > 0.0
+def test_nsfd_tree_sum_stays_within_capacity():
+    # T_S + T_NS <= K_T is invariant for every step size (argument in the
+    # integrate module docstring), including the mu_S = 0 corner (K_T, 0, 0)
+    # where crowding alone holds the tree sum down
+    for region in (1, 2, 3):
+        base = region_preset(region).params
+        for p in (base, base.replace(mu_S=0.0)):
+            for frac in (1.0, 0.9):
+                for h in (1e-3, 1e-2, 0.1, 0.5, 1.0):
+                    x = VegState(frac * p.K_T, 0.0, 0.0)
+                    for _ in range(40):
+                        x = nsfd_step(x, p, h)
+                        assert x.t_s >= 0.0 and x.t_ns >= 0.0
+                        assert x.t_s + x.t_ns <= p.K_T * (1.0 + 1e-14), (region, h)
 
 
 # ---------------------------------------------------------------------------

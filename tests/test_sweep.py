@@ -1,8 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import savanna.floquet
 from savanna import (
     AxisSpec,
+    NumericalError,
     classify_grid,
     compute_thresholds,
     level_curve,
@@ -254,3 +258,20 @@ def test_rho_tg_scan_smoke():
               AxisSpec("sigma_NS", 0.0123, 0.015, 2), "rho_tg")
     assert gs.defined.all()
     assert np.all(gs.values < 1.0)
+
+
+def test_rho_tg_scan_survives_a_numerically_failing_cell(monkeypatch):
+    def report(p, guess=None, n=savanna.floquet.DEFAULT_STEPS):
+        if p.sigma_G == 0.5 and p.eta_G == 0.4:
+            raise NumericalError("period map diverged")
+        return SimpleNamespace(rho_tg=p.sigma_G + p.eta_G,
+                               diagnostics={"converged": True})
+
+    monkeypatch.setattr(savanna.floquet, "floquet_report", report)
+    gs = scan(base1(), AxisSpec("sigma_G", 0.3, 0.5, 3),
+              AxisSpec("eta_G", 0.2, 0.4, 3), "rho_tg")
+    expected = np.ones((3, 3), dtype=bool)
+    expected[2, 2] = False
+    assert np.array_equal(gs.defined, expected)
+    assert np.isnan(gs.values[2, 2])
+    assert np.all(np.isfinite(gs.values[expected]))
