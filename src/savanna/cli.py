@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from .model import (
     ModelParams,
@@ -272,7 +273,19 @@ _COMMANDS = {
 }
 
 
+def _show_warning(message, *args, **kwargs) -> None:
+    print(f"savanna: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
+    with warnings.catch_warnings():
+        # every warning prints as a plain message, on every call
+        warnings.simplefilter("always")
+        warnings.showwarning = _show_warning
+        return _run(argv)
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

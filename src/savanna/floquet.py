@@ -6,12 +6,11 @@ solves the variational equation ``Phi' = DF(orbit(t)) Phi`` along the orbit
 ``J`` is the linearization of the fire map at the pre-fire state.  The orbit
 is re-integrated on every call rather than interpolated from stored samples.
 
-The spectral radius of the monodromy decides local stability of the savanna
-orbit; the matching analytic multiplier formulas for the grassland orbit are
-provided for cross-validation.  Note the analytic tree-block route evaluates
-``exp`` of the period-averaged Jacobian, which is exact only for commuting
-families; the variational monodromy computed here is the primary arbiter and
-the two are reported side by side (see ``grassland_agreement``).
+The spectral radius of the monodromy decides local stability of the orbit
+that ``floquet_report`` locates.  The analytic grassland multipliers are a
+separate cross-check: they exponentiate the period-averaged Jacobian, exact
+only for commuting families, so ``grassland_agreement`` compares their
+verdict with the variational monodromy's.
 """
 
 from __future__ import annotations
@@ -217,13 +216,14 @@ def locate_savanna_orbit(p: ModelParams, guess: VegState, tol: float = 1e-10,
             # Newton refinement on P(x) - x = 0 with Jacobian M - I
             for _ in range(12):
                 newton_used += 1
-                m = monodromy(p, VegState.from_array(np.maximum(x, 0.0)), n)
-                fx = _period_map(p, x, n) - x
+                full = monodromy_full(p, VegState.from_array(x), n)
+                pre = full.pre_fire_state
+                fx = np.array(_impulse(pre.t_s, pre.t_ns, pre.g, p)) - x
                 residual = float(np.linalg.norm(fx))
                 if residual < tol:
                     break
                 try:
-                    delta = np.linalg.solve(np.eye(3) - m, fx)
+                    delta = np.linalg.solve(np.eye(3) - full.matrix, fx)
                 except np.linalg.LinAlgError:
                     break
                 scale = 1.0
@@ -257,19 +257,13 @@ def rho_tg(p: ModelParams, anchor: VegState, n: int = DEFAULT_STEPS) -> float:
 def grassland_multipliers_analytic(p: ModelParams) -> tuple[complex, complex, float]:
     """Analytic multipliers of the grassland orbit from the averaged tree
     block: xi1 pairs the fire shrink factor with the larger-real-part root,
-    xi2 is the bare second root, xi3 is the exact grass-direction multiplier.
+    xi2 is the bare second root, xi3 = 1/rho_g0 is the exact grass multiplier.
     """
     rep = compute_thresholds(p)
     shrink = 1.0 - p.eta_S * fire_intensity(grassland_orbit_end(p), p.fire)
     xi1 = shrink * cmath.exp(rep.lambda1)
     xi2 = cmath.exp(rep.lambda2)
-    return xi1, xi2, _grass_multiplier(p)
-
-
-def _grass_multiplier(p: ModelParams) -> float:
-    """Exact grass-direction multiplier xi3 of the grassland orbit."""
-    rate = p.gamma_G - p.mu_G
-    return math.exp(-rate * p.tau) / (1.0 - p.eta_G)
+    return xi1, xi2, 1.0 / rep.rho_g0
 
 
 def grassland_agreement(p: ModelParams, n: int = DEFAULT_STEPS) -> dict:
@@ -280,7 +274,7 @@ def grassland_agreement(p: ModelParams, n: int = DEFAULT_STEPS) -> dict:
     rep = compute_thresholds(p)
     anchor = VegState(0.0, 0.0, (1.0 - p.eta_G) * grassland_orbit_end(p))
     eigs = cubic_eigenvalues(monodromy(p, anchor, n))
-    xi3 = _grass_multiplier(p)
+    xi3 = 1.0 / rep.rho_g0
     # the grass direction is exact in both routes; drop it from the tree pair
     tree_mods = sorted(abs(z) for z in eigs)
     tree_mods.remove(min(tree_mods, key=lambda v: abs(v - xi3)))
@@ -307,7 +301,6 @@ class FloquetReport:
     verdict: str
     residual: float
     boundary: str | None
-    xi: tuple[complex, complex, float] | None
     diagnostics: dict
 
     CSV_FIELDS = (
@@ -333,29 +326,22 @@ def _verdict(rho: float) -> str:
 
 def floquet_report(p: ModelParams, guess: VegState | None = None,
                    n: int = DEFAULT_STEPS) -> FloquetReport:
-    """Locate an orbit from ``guess`` and package monodromy, multipliers and
-    the stability verdict; at a grassland anchor the analytic multipliers are
-    attached for cross-checking."""
+    """Locate an orbit from ``guess`` and package its monodromy, multipliers
+    and stability verdict.  Only the located orbit is analysed; the analytic
+    grassland cross-check is ``grassland_agreement``."""
     if guess is None:
         guess = VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G)
     orbit = locate_savanna_orbit(p, guess, n=n)
     m = monodromy(p, orbit.anchor, n)
     eigs = cubic_eigenvalues(m)
     rho = float(np.max(np.abs(eigs)))
-    xi = None
-    diagnostics: dict = {
+    diagnostics = {
         "converged": orbit.converged,
         "iterations": orbit.iterations,
         "newton_iterations": orbit.newton_iterations,
     }
-    if orbit.boundary == "grassland":
-        try:
-            xi = grassland_multipliers_analytic(p)
-            diagnostics["agreement"] = grassland_agreement(p, n)
-        except ValueError:
-            pass
     return FloquetReport(
         anchor=orbit.anchor, monodromy=m, multipliers=eigs, rho_tg=rho,
         verdict=_verdict(rho), residual=orbit.residual, boundary=orbit.boundary,
-        xi=xi, diagnostics=diagnostics,
+        diagnostics=diagnostics,
     )

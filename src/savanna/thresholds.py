@@ -20,6 +20,10 @@ Naming of the scalar quantities (report fields):
 ``rho_t_g``  forest-equilibrium stability factor under fires
 ===========  ================================================================
 
+Every grassland formula uses the net grass rate ``gamma_G - mu_G``, never
+``r_g0``, so ``mu_G = 0`` needs no branch and the ``mu_G -> 0`` limit is
+continuous.
+
 The classification follows an eleven-case table (both reproduction numbers
 above one) plus global-stability verdicts for the remaining quadrants.
 """
@@ -177,10 +181,7 @@ def _grass_rate(p: ModelParams) -> float:
 
 
 def _rho_g0(p: ModelParams) -> float:
-    if p.mu_G > 0:
-        r_g0 = p.gamma_G / p.mu_G
-        return (1.0 - p.eta_G) * math.exp(p.mu_G * (r_g0 - 1.0) * p.tau)
-    return (1.0 - p.eta_G) * math.exp(p.gamma_G * p.tau)
+    return (1.0 - p.eta_G) * math.exp(_grass_rate(p) * p.tau)
 
 
 def _g_int(p: ModelParams) -> float:
@@ -212,26 +213,30 @@ def _quadratic_roots(a: float, b: float) -> tuple[complex, complex]:
     return complex(a / 2.0, sq / 2.0), complex(a / 2.0, -sq / 2.0)
 
 
-def grassland_orbit_end(p: ModelParams) -> float:
-    """Pre-fire grass level G*(tau-) of the grassland orbit."""
-    rho = _rho_g0(p)
-    _require_grassland(p, rho)
-    if p.mu_G > 0:
-        lead = p.K_G * (1.0 - p.mu_G / p.gamma_G)
-    else:
-        lead = p.K_G
-    return lead * (rho - 1.0) / ((rho - 1.0) + p.eta_G)
-
-
-def _require_grassland(p: ModelParams, rho: float) -> None:
-    if p.mu_G > 0 and p.gamma_G / p.mu_G <= 1.0:
+def _require_r_g0(p: ModelParams, what: str) -> None:
+    """Raise unless gamma_G > mu_G, i.e. r_g0 > 1 (always so when mu_G = 0)."""
+    if _grass_rate(p) <= 0.0:
         raise ThresholdError(
-            f"grassland orbit requires r_g0 > 1; got r_g0 = {p.gamma_G / p.mu_G:.6g}"
+            f"{what} requires r_g0 > 1; got r_g0 = {p.gamma_G / p.mu_G:.6g}"
         )
+
+
+def _grassland_at(p: ModelParams, tt: float) -> float:
+    """G*(tt) for tt in [0, tau]: post-fire at tt = 0, pre-fire at tt = tau."""
+    _require_r_g0(p, "grassland orbit")
+    rho = _rho_g0(p)
     if rho <= 1.0:
         raise ThresholdError(
             f"grassland orbit requires rho_g0 > 1; got rho_g0 = {rho:.6g}"
         )
+    lead = p.K_G * (1.0 - p.mu_G / p.gamma_G) * (rho - 1.0)
+    decay = math.exp(-_grass_rate(p) * (tt - p.tau))
+    return lead / ((rho - 1.0) + p.eta_G * decay)
+
+
+def grassland_orbit_end(p: ModelParams) -> float:
+    """Pre-fire grass level G*(tau-) of the grassland orbit."""
+    return _grassland_at(p, p.tau)
 
 
 def grassland_orbit(p: ModelParams, t: float) -> float:
@@ -242,19 +247,7 @@ def grassland_orbit(p: ModelParams, t: float) -> float:
     Raises ThresholdError, naming the violated threshold, when the orbit
     does not exist.
     """
-    rho = _rho_g0(p)
-    _require_grassland(p, rho)
-    tt = math.fmod(t, p.tau)
-    if tt < 0.0:
-        tt += p.tau
-    if p.mu_G > 0:
-        r_g0 = p.gamma_G / p.mu_G
-        lead = p.K_G * (1.0 - 1.0 / r_g0) * (rho - 1.0)
-        decay = math.exp(-p.mu_G * (r_g0 - 1.0) * (tt - p.tau))
-    else:
-        lead = p.K_G * (rho - 1.0)
-        decay = math.exp(-p.gamma_G * (tt - p.tau))
-    return lead / ((rho - 1.0) + p.eta_G * decay)
+    return _grassland_at(p, t % p.tau)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +271,7 @@ def compute_thresholds(p: ModelParams) -> ThresholdReport:
     rho_g0 = _rho_g0(p)
     g_int = _g_int(p)
 
-    grassland_exists = rho_g0 > 1.0 and (p.mu_G == 0 or r_g0 > 1.0)
-    savanna_condition = grassland_exists
+    grassland_exists = rho_g0 > 1.0 and _grass_rate(p) > 0.0
 
     # tree block averaged over one grassland period
     denom_rgt = p.mu_NS * (p.mu_S + p.omega_S) + p.mu_NS * p.sigma_G * g_int
@@ -293,10 +285,7 @@ def compute_thresholds(p: ModelParams) -> ThresholdReport:
 
     # the fire-size factor uses the orbit's pre-fire grass level; when the
     # orbit degenerates (rho_g0 <= 1) grass dies out and the factor is w(0)=0
-    if grassland_exists:
-        g_end = grassland_orbit_end(p)
-    else:
-        g_end = 0.0
+    g_end = grassland_orbit_end(p) if grassland_exists else 0.0
     shrink = abs(1.0 - p.eta_S * fire_intensity(g_end, p.fire))
     rho_t = max(shrink * math.exp(lambda1.real), math.exp(lambda2.real))
 
@@ -311,7 +300,7 @@ def compute_thresholds(p: ModelParams) -> ThresholdReport:
         rho_t_g = None
 
     cls = _classify_values(
-        mu_g=p.mu_G, r_t0=r_t0, r_g0=r_g0, rho_g0=rho_g0, r_t_g=r_t_g,
+        r_t0=r_t0, r_g0=r_g0, rho_g0=rho_g0, r_t_g=r_t_g,
         rho_t_g=rho_t_g, r_g_t=r_g_t, rho_t=rho_t,
         grassland_exists=grassland_exists, forest_exists=forest_exists,
     )
@@ -321,7 +310,7 @@ def compute_thresholds(p: ModelParams) -> ThresholdReport:
         a_coef=a_coef, b_coef=b_coef, lambda1=lambda1, lambda2=lambda2,
         rho_t=rho_t, r_t_g=r_t_g, rho_t_g=rho_t_g, forest_eq=forest_eq,
         grassland_exists=grassland_exists, forest_exists=forest_exists,
-        savanna_existence_condition=savanna_condition, classification=cls.label,
+        savanna_existence_condition=grassland_exists, classification=cls.label,
     )
 
 
@@ -349,7 +338,7 @@ def _verdicts(r_t_g, rho_t_g, r_g_t, rho_t, grassland_exists, forest_exists):
     return e_t, e_g
 
 
-def _classify_values(mu_g, r_t0, r_g0, rho_g0, r_t_g, rho_t_g, r_g_t, rho_t,
+def _classify_values(r_t0, r_g0, rho_g0, r_t_g, rho_t_g, r_g_t, rho_t,
                      grassland_exists, forest_exists) -> Classification:
     e_t, e_g = _verdicts(r_t_g, rho_t_g, r_g_t, rho_t, grassland_exists, forest_exists)
 
@@ -367,7 +356,7 @@ def _classify_values(mu_g, r_t0, r_g0, rho_g0, r_t_g, rho_t_g, r_g_t, rho_t,
     if _near_one(r_t0):
         return deg("r_t0", r_t0)
 
-    if mu_g > 0:
+    if r_g0 is not None:
         if _near_one(r_g0):
             return deg("r_g0", r_g0)
         if r_t0 < 1.0 and r_g0 < 1.0:
@@ -426,16 +415,10 @@ def _classify_values(mu_g, r_t0, r_g0, rho_g0, r_t_g, rho_t_g, r_g_t, rho_t,
     return case(11)
 
 
-def classify(rep: ThresholdReport, mu_g: float | None = None) -> Classification:
-    """Re-derive the classification from a computed report.
-
-    ``mu_g`` disambiguates the mu_G = 0 branch; by convention it is inferred
-    from ``r_g0`` being undefined when not supplied.
-    """
-    if mu_g is None:
-        mu_g = 0.0 if rep.r_g0 is None else 1.0
+def classify(rep: ThresholdReport) -> Classification:
+    """Re-derive the classification from a computed report."""
     return _classify_values(
-        mu_g=mu_g, r_t0=rep.r_t0, r_g0=rep.r_g0, rho_g0=rep.rho_g0,
+        r_t0=rep.r_t0, r_g0=rep.r_g0, rho_g0=rep.rho_g0,
         r_t_g=rep.r_t_g, rho_t_g=rep.rho_t_g, r_g_t=rep.r_g_t, rho_t=rep.rho_t,
         grassland_exists=rep.grassland_exists, forest_exists=rep.forest_exists,
     )
@@ -472,23 +455,14 @@ def critical_values(p: ModelParams) -> CriticalValues:
 
 def eta_g_boundary(p: ModelParams) -> float:
     """Burned-grass fraction at which rho_g0 = 1 (grassland orbit threshold)."""
-    if p.mu_G > 0:
-        if p.gamma_G / p.mu_G <= 1.0:
-            raise ThresholdError(
-                "no eta_G boundary: r_g0 <= 1 keeps rho_g0 below one for every eta_G"
-            )
-        return 1.0 - math.exp(-_grass_rate(p) * p.tau)
-    return 1.0 - math.exp(-p.gamma_G * p.tau)
+    _require_r_g0(p, "eta_G boundary")
+    return 1.0 - math.exp(-_grass_rate(p) * p.tau)
 
 
 def tau_boundary(p: ModelParams) -> float:
     """Fire period at which rho_g0 = 1 for the current eta_G."""
-    if p.mu_G > 0 and p.gamma_G / p.mu_G <= 1.0:
-        raise ThresholdError(
-            "no tau boundary: r_g0 <= 1 keeps rho_g0 below one for every tau"
-        )
-    rate = _grass_rate(p) if p.mu_G > 0 else p.gamma_G
-    return -math.log(1.0 - p.eta_G) / rate
+    _require_r_g0(p, "tau boundary")
+    return -math.log(1.0 - p.eta_G) / _grass_rate(p)
 
 
 def estimate_sigma_ns(delta_g: float, gamma_g: float, k_t: float,

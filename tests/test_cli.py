@@ -95,6 +95,17 @@ def test_floquet_command_writes_report(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_warnings_print_as_plain_messages_on_every_call(tmp_path, capsys):
+    # r_g0 < 1: orbit location warns that the existence condition fails
+    argv = ["floquet", "--region", "1", "--set", "mu_G=0.9", "--steps", "8",
+            "--output", str(tmp_path / "flo.csv")]
+    for _ in range(2):
+        code, _, err = run(capsys, *argv)
+        assert code == 0
+        assert "savanna: warning: savanna existence condition fails" in err
+        assert ".py:" not in err
+
+
 def test_sweep_command_grid_and_curve(tmp_path, capsys):
     grid = tmp_path / "grid.csv"
     curve = tmp_path / "curve.csv"

@@ -1,5 +1,6 @@
 import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from savanna import (
     simulate,
     vector_field,
 )
+from savanna import floquet
 from savanna.floquet import _period_map
 from savanna.thresholds import ThresholdError
 from draws import draw_region_params, draw_state_in_omega, draw_valid_params
@@ -309,6 +311,25 @@ def test_locate_interior_savanna_orbit_case1():
     assert rho < 1.0
 
 
+def test_newton_polish_lands_on_a_fixed_point_of_the_period_map():
+    # a region-2 draw whose fixed-point iteration stalls near the grassland
+    # orbit, so Newton steps finish the location
+    p = region_preset(2).params.replace(
+        tau=3.5774218896387917, K_T=86.58715135564158, K_G=6.865401957188544,
+        gamma_G=2.6929322102983813, gamma_S=0.5960444556113227,
+        gamma_NS=1.6908676975115688, mu_NS=0.07699814025121458,
+        sigma_G=1.1143221759513025, sigma_NS=0.00010776891169619884,
+        mu_S=0.2190302917162641, omega_S=0.14853507445585779,
+        mu_G=0.19460536937730233, eta_S=0.026213961295888665,
+        eta_G=0.91907907682733)
+    guess = VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G)
+    orbit = locate_savanna_orbit(p, guess, n=64)
+    assert orbit.newton_iterations > 0
+    assert orbit.converged and orbit.boundary == "grassland"
+    x = orbit.anchor.as_array()
+    assert np.linalg.norm(_period_map(p, x, 64) - x) < 1e-10
+
+
 def test_locate_warns_when_existence_condition_fails():
     p = r1(mu_G=0.9)  # r_g0 < 1
     with pytest.warns(UserWarning, match="existence condition"):
@@ -391,9 +412,24 @@ def test_floquet_report_csv_and_verdict():
     assert lines[1].endswith("stable")
 
 
-def test_floquet_report_grassland_attaches_analytics():
+def test_floquet_report_analyses_only_the_located_orbit(monkeypatch):
+    # one variational pass per Newton step plus one at the anchor, one
+    # closed-form evaluation; the grassland cross-check is not run
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(floquet, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(floquet, name, wrapper)
+
+    counted("monodromy_full")
+    counted("compute_thresholds")
     p = r1(gamma_S=0.01, gamma_NS=0.01)
-    rep = floquet_report(p)
+    rep = floquet_report(p, n=64)
     assert rep.boundary == "grassland"
-    assert rep.xi is not None
-    assert rep.diagnostics["agreement"]["xi3"] == pytest.approx(rep.xi[2], rel=1e-12)
+    assert calls["monodromy_full"] == 1 + rep.diagnostics["newton_iterations"]
+    assert calls["compute_thresholds"] == 1
+    assert grassland_agreement(p, 64)["xi3"] == grassland_multipliers_analytic(p)[2]

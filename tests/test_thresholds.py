@@ -104,6 +104,17 @@ def test_orbit_mu_g_zero_branch():
     assert rep.grassland_exists
 
 
+def test_tiny_mu_g_matches_mu_g_zero():
+    # the grassland formulas use gamma_G - mu_G, so a subnormal mu_G gives the
+    # mu_G = 0 values instead of overflowing through r_g0 = gamma_G/mu_G
+    zero, tiny = r1(mu_G=0.0), r1(mu_G=1e-320)
+    rep0, rep = compute_thresholds(zero), compute_thresholds(tiny)
+    assert rep.rho_g0 == pytest.approx(rep0.rho_g0, rel=1e-15)
+    assert rep.rho_t == pytest.approx(rep0.rho_t, rel=1e-15)
+    assert grassland_orbit_end(tiny) == pytest.approx(grassland_orbit_end(zero), rel=1e-15)
+    assert rep.classification == rep0.classification
+
+
 def test_orbit_errors_name_violated_threshold():
     with pytest.raises(ThresholdError, match="rho_g0"):
         grassland_orbit(r1(eta_G=0.9), 1.0)  # eta_G above the 0.8775 boundary
