@@ -229,6 +229,18 @@ def in_omega(s: VegState, p: ModelParams, tol: float = 1e-9) -> bool:
     )
 
 
+# hard invariants of the finite core fields, in the order ``validate``
+# reports them: (fields, violated(value), requirement)
+_INVARIANTS = (
+    (("gamma_S", "gamma_NS", "gamma_G", "mu_S", "mu_NS", "mu_G", "omega_S",
+      "sigma_G", "eta_S", "eta_G"), lambda v: v < 0, "must be nonnegative"),
+    (("mu_NS", "omega_S", "gamma_G", "K_T", "K_G", "tau"), lambda v: v <= 0,
+     "must be positive"),
+    (("eta_S",), lambda v: v > 1, "must lie in [0, 1]"),
+    (("eta_G",), lambda v: v >= 1, "must lie in [0, 1)"),
+)
+
+
 def validate(p: ModelParams, preset: RegionPreset | None = None) -> ValidationReport:
     """Check hard invariants (errors) and region ranges (warnings).
 
@@ -244,18 +256,11 @@ def validate(p: ModelParams, preset: RegionPreset | None = None) -> ValidationRe
     if errors:
         return ValidationReport(tuple(errors), ())
 
-    nonneg = ("gamma_S", "gamma_NS", "gamma_G", "mu_S", "mu_NS", "mu_G",
-              "omega_S", "sigma_G", "eta_S", "eta_G")
-    for key in nonneg:
-        if getattr(p, key) < 0:
-            errors.append(f"{key} must be nonnegative, got {getattr(p, key)}")
-    for key in ("mu_NS", "omega_S", "gamma_G", "K_T", "K_G", "tau"):
-        if getattr(p, key) <= 0:
-            errors.append(f"{key} must be positive, got {getattr(p, key)}")
-    if p.eta_S > 1:
-        errors.append(f"eta_S must lie in [0, 1], got {p.eta_S}")
-    if p.eta_G >= 1:
-        errors.append(f"eta_G must lie in [0, 1), got {p.eta_G}")
+    for keys, violated, what in _INVARIANTS:
+        for key in keys:
+            value = getattr(p, key)
+            if violated(value):
+                errors.append(f"{key} {what}, got {value}")
 
     if preset is not None:
         for key, (lo, hi) in preset.ranges.items():
@@ -265,6 +270,20 @@ def validate(p: ModelParams, preset: RegionPreset | None = None) -> ValidationRe
                     f"{key} = {value:g} outside region-{preset.region} range [{lo:g}, {hi:g}]"
                 )
     return ValidationReport(tuple(errors), tuple(warnings))
+
+
+def _valid_cells(flat) -> np.ndarray:
+    """``validate(...).ok`` on a grid: ``flat`` maps every ``ModelParams.flat``
+    key to a float or a broadcastable array.  A cell is valid where every
+    value is finite, no invariant is violated and ``g0 > 0``, which
+    ``FireIntensityParams`` requires."""
+    ok = np.asarray(flat["g0"]) > 0
+    for value in flat.values():
+        ok = ok & np.isfinite(value)
+    for keys, violated, _ in _INVARIANTS:
+        for key in keys:
+            ok = ok & ~violated(np.asarray(flat[key]))
+    return ok
 
 
 def require_valid(p: ModelParams) -> None:

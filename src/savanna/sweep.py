@@ -1,10 +1,13 @@
 """Two-parameter grid scans, unity level curves and classification maps.
 
-A scan rebuilds the parameter set at every grid node and evaluates one scalar
-quantity (any threshold-report field, the savanna spectral radius ``rho_tg``
-or the categorical ``case`` label).  Cells where the quantity is undefined
-carry an explicit marker and are excluded from contour interpolation.
-Cells are evaluated one after another in row-major order.
+A scan evaluates one scalar quantity (any threshold-report field, a critical
+value, the savanna spectral radius ``rho_tg`` or the categorical ``case``
+label) at every node of a two-parameter grid.  Closed-form quantities are
+computed as arrays, a block of axis-1 rows at a time, by the kernel that
+``compute_thresholds`` runs on one cell; ``rho_tg`` cells each locate an
+orbit, one after another in row-major order.  Cells where the quantity is
+undefined carry an explicit marker and are excluded from contour
+interpolation.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, NumericalError, ParameterError
-from .thresholds import ThresholdError, compute_thresholds, critical_values
+from .model import ModelParams, NumericalError, ParameterError, _valid_cells
+from .thresholds import CRITICAL_FIELDS, ThresholdError, _closed_forms
 
 __all__ = ["AxisSpec", "GridScan", "LevelCurve", "scan", "level_curve", "classify_grid"]
 
@@ -28,6 +31,8 @@ QUANTITIES = NUMERIC_QUANTITIES + ("case",)
 
 DEFAULT_GRID_N = 101
 DEFAULT_RHO_TG_N = 21
+# axis-1 rows per closed-form block: bounds the kernel's temporaries
+ROW_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -57,19 +62,17 @@ class GridScan:
     defined: np.ndarray           # (n1, n2) bool
 
     def to_csv(self) -> str:
-        lines = [f"{self.axis1.name},{self.axis2.name},value,defined"]
-        a1 = self.axis1.values()
-        a2 = self.axis2.values()
+        # one string per axis-1 row: far fewer live objects than one per cell
+        rows = [f"{self.axis1.name},{self.axis2.name},value,defined"]
+        a2 = [f"{y:.17g}" for y in self.axis2.values()]
         numeric = self.values.dtype != object
-        for i in range(self.axis1.n):
-            for j in range(self.axis2.n):
-                if self.defined[i, j]:
-                    v = self.values[i, j]
-                    sval = f"{v:.17g}" if numeric else str(v)
-                else:
-                    sval = "undefined"
-                lines.append(f"{a1[i]:.17g},{a2[j]:.17g},{sval},{int(self.defined[i, j])}")
-        return "\n".join(lines) + "\n"
+        for x, row, row_defined in zip(self.axis1.values(), self.values, self.defined):
+            x = f"{x:.17g}"
+            rows.append("\n".join(
+                (f"{x},{y},{v:.17g},1" if numeric else f"{x},{y},{v},1") if ok
+                else f"{x},{y},undefined,0"
+                for y, v, ok in zip(a2, row.tolist(), row_defined.tolist())))
+        return "\n".join(rows) + "\n"
 
 
 @dataclass(frozen=True)
@@ -85,46 +88,62 @@ class LevelCurve:
         return "\n".join(lines) + "\n"
 
 
-def _cell_value(base: ModelParams, quantity: str, name1: str, v1: float,
-                name2: str, v2: float):
-    """Evaluate one grid node; (value, defined).  Infeasible parameter combos,
-    unavailable quantities and orbits that diverge numerically yield an
-    undefined cell, never an exception."""
+def _cell_value(base: ModelParams, name1: str, v1: float, name2: str, v2: float):
+    """``rho_tg`` at one grid node; (value, defined).  Infeasible parameter
+    combos, orbits that do not converge and orbits that diverge numerically
+    yield an undefined cell, never an exception."""
+    from .floquet import floquet_report
+
     try:
         p = base.replace(**{name1: float(v1), name2: float(v2)})
-        if quantity == "rho_tg":
-            from .floquet import floquet_report
-
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                rep = floquet_report(p)
-            if not rep.diagnostics.get("converged", False):
-                return np.nan, False
-            return rep.rho_tg, True
-        if quantity in ("sigma_g_star", "sigma_ns_star", "tau_star"):
-            cv = critical_values(p)
-            v = getattr(cv, quantity)
-            return (np.nan, False) if v is None else (v, True)
-        rep = compute_thresholds(p)
-        if quantity == "case":
-            return rep.classification, True
-        v = getattr(rep, quantity)
-        if v is None or not np.isfinite(v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rep = floquet_report(p)
+        if not rep.diagnostics.get("converged", False):
             return np.nan, False
-        return float(v), True
+        return rep.rho_tg, True
     except (ParameterError, ThresholdError, ValueError, NumericalError):
         return np.nan, False
+
+
+def _closed_form_rows(base: ModelParams, quantity: str, axis1: AxisSpec,
+                      axis2: AxisSpec, rows: slice):
+    """(values, defined) of a closed-form quantity on a block of axis-1 rows.
+
+    A cell is defined where its parameters are valid, its closed forms
+    evaluate in floating point and the quantity is available there; numeric
+    threshold fields must also be finite.
+    """
+    flat = base.flat()
+    flat[axis1.name] = axis1.values()[rows, None]
+    flat[axis2.name] = axis2.values()[None, :]
+    cells = _closed_forms(**flat)
+    ok = _valid_cells(flat)
+    if quantity == "case":
+        ok = ok & cells.ok
+        return np.where(ok, cells.label, "undefined"), ok
+    v = cells.values[quantity]
+    if quantity in CRITICAL_FIELDS:
+        ok = ok & cells.critical_ok & cells.defined[quantity]
+    else:
+        ok = ok & cells.ok & np.isfinite(v)
+    return np.where(ok, v, np.nan), ok
 
 
 def scan(base: ModelParams, axis1: AxisSpec, axis2: AxisSpec, quantity: str,
          concurrent: bool = False) -> GridScan:
     """Evaluate ``quantity`` on the full axis1 x axis2 grid.
 
-    ``rho_tg`` cells run the orbit location and monodromy machinery and are
-    orders of magnitude slower than threshold fields; a runtime warning is
-    issued for large grids.  ``concurrent`` is accepted for compatibility
-    only: cells are always evaluated in sequence, because a thread pool
-    measured slower than the plain loop and gives the same result.
+    Closed-form quantities (every threshold-report field, the critical
+    values and ``case``) are evaluated as arrays, ``ROW_BLOCK`` rows of
+    axis 1 at a time, by the same kernel that ``compute_thresholds`` runs
+    on one cell, so each cell carries the same bits as that call.  Axis
+    values replace the base's fields as ``ModelParams.replace`` would (a
+    ``K_G`` axis keeps the base's ``g0``).  ``rho_tg`` cells run the orbit
+    location and monodromy machinery one after another in row-major order;
+    they are orders of magnitude slower and a runtime warning is issued for
+    large grids.  ``concurrent`` is accepted for compatibility only and
+    changes nothing.
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}; expected one of {QUANTITIES}")
@@ -140,19 +159,22 @@ def scan(base: ModelParams, axis1: AxisSpec, axis2: AxisSpec, quantity: str,
             stacklevel=2,
         )
 
-    a1 = axis1.values()
-    a2 = axis2.values()
     defined = np.zeros((axis1.n, axis2.n), dtype=bool)
     if quantity == "case":
         values = np.full((axis1.n, axis2.n), "undefined", dtype=object)
     else:
         values = np.full((axis1.n, axis2.n), np.nan)
-    for i in range(axis1.n):
-        for j in range(axis2.n):
-            v, ok = _cell_value(base, quantity, axis1.name, a1[i], axis2.name, a2[j])
-            defined[i, j] = ok
-            if ok:
-                values[i, j] = v
+    if quantity == "rho_tg":
+        a1 = axis1.values()
+        a2 = axis2.values()
+        for i in range(axis1.n):
+            for j in range(axis2.n):
+                values[i, j], defined[i, j] = _cell_value(
+                    base, axis1.name, a1[i], axis2.name, a2[j])
+    else:
+        for start in range(0, axis1.n, ROW_BLOCK):
+            rows = slice(start, start + ROW_BLOCK)
+            values[rows], defined[rows] = _closed_form_rows(base, quantity, axis1, axis2, rows)
 
     if not defined.any():
         raise ValueError(f"quantity {quantity!r} is undefined on the whole grid")
@@ -189,30 +211,33 @@ def level_curve(gs: GridScan, level: float = 1.0) -> LevelCurve:
     v = gs.values
     segments: list[tuple[tuple[float, float], tuple[float, float]]] = []
 
-    for i in range(gs.axis1.n - 1):
-        for j in range(gs.axis2.n - 1):
-            if not (gs.defined[i, j] and gs.defined[i + 1, j]
-                    and gs.defined[i, j + 1] and gs.defined[i + 1, j + 1]):
-                continue
-            corners = (
-                (v[i, j], a1[i], a2[j]),
-                (v[i + 1, j], a1[i + 1], a2[j]),
-                (v[i + 1, j + 1], a1[i + 1], a2[j + 1]),
-                (v[i, j + 1], a1[i], a2[j + 1]),
-            )
-            pts = []
-            for k in range(4):
-                (va, xa, ya) = corners[k]
-                (vb, xb, yb) = corners[(k + 1) % 4]
-                if (va - level) * (vb - level) < 0.0:
-                    pts.append((
-                        _interp(xa, va, xb, vb, level),
-                        _interp(ya, va, yb, vb, level),
-                    ))
-            # crossings come in pairs; join them in discovery order (the
-            # rare 4-crossing saddle keeps that simple deterministic pairing)
-            for k in range(0, len(pts) - 1, 2):
-                segments.append((pts[k], pts[k + 1]))
+    # squares whose four nodes are defined and one of whose edges crosses
+    d = gs.defined
+    with np.errstate(all="ignore"):
+        s = np.where(d, v - level, 0.0)
+        crossing = ((s[:-1, :-1] * s[1:, :-1] < 0.0) | (s[1:, :-1] * s[1:, 1:] < 0.0)
+                    | (s[1:, 1:] * s[:-1, 1:] < 0.0) | (s[:-1, 1:] * s[:-1, :-1] < 0.0))
+    corners_defined = d[:-1, :-1] & d[1:, :-1] & d[1:, 1:] & d[:-1, 1:]
+    for i, j in np.argwhere(corners_defined & crossing).tolist():
+        corners = (
+            (v[i, j], a1[i], a2[j]),
+            (v[i + 1, j], a1[i + 1], a2[j]),
+            (v[i + 1, j + 1], a1[i + 1], a2[j + 1]),
+            (v[i, j + 1], a1[i], a2[j + 1]),
+        )
+        pts = []
+        for k in range(4):
+            (va, xa, ya) = corners[k]
+            (vb, xb, yb) = corners[(k + 1) % 4]
+            if (va - level) * (vb - level) < 0.0:
+                pts.append((
+                    _interp(xa, va, xb, vb, level),
+                    _interp(ya, va, yb, vb, level),
+                ))
+        # crossings come in pairs; join them in discovery order (the
+        # rare 4-crossing saddle keeps that simple deterministic pairing)
+        for k in range(0, len(pts) - 1, 2):
+            segments.append((pts[k], pts[k + 1]))
 
     return LevelCurve(level=level, polylines=_chain(segments))
 

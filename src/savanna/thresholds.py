@@ -25,19 +25,38 @@ Every grassland formula uses the net grass rate ``gamma_G - mu_G``, never
 continuous.
 
 The classification follows an eleven-case table (both reproduction numbers
-above one) plus global-stability verdicts for the remaining quadrants.
+above one) plus global-stability verdicts for the remaining quadrants.  It is
+one ordered rule table, ``_RULES``: degenerate (a quantity within
+``DEGENERATE_TOL`` of one) and global-stability rules first, then the eleven
+cases as sign patterns of ``r_t_g``, ``rho_g0``, ``rho_t_g``, ``r_g_t`` and
+``rho_t``; the first rule that holds gives the label.  ``compute_thresholds``,
+``classify`` and grid scans all read that table.
+
+Every closed form is computed by one kernel, ``_closed_forms``, on floats or
+on broadcastable arrays: ``compute_thresholds`` and ``critical_values`` run it
+on one cell, ``sweep.scan`` on blocks of a grid.  Branches are masks.  The
+kernel's ``exp``, ``log`` and fire-intensity power go element by element
+through the libm functions of ``math`` and Python's ``**``, because numpy's
+vectorised ``exp``, ``log`` and power round differently in the last bit for
+a few percent of inputs, and a grid cell must carry the same bits as the
+one-cell call.  A closed form that overflows in floating point raises
+``NumericalError`` from the one-cell calls and leaves a grid cell undefined.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import NamedTuple
+
+import numpy as np
 
 from .model import (
     ModelParams,
+    NumericalError,
     ParameterError,
     VegState,
-    fire_intensity,
     require_valid,
 )
 
@@ -172,10 +191,10 @@ class SigmaNSEstimation:
 
 
 # ---------------------------------------------------------------------------
-# scalar helpers
+# scalar helpers of the grassland orbit
 # ---------------------------------------------------------------------------
 
-def _grass_rate(p: ModelParams) -> float:
+def _grass_rate(p) -> float:
     """Net exponential grass rate gamma_G - mu_G (equals mu_G*(r_g0 - 1))."""
     return p.gamma_G - p.mu_G
 
@@ -184,33 +203,9 @@ def _rho_g0(p: ModelParams) -> float:
     return (1.0 - p.eta_G) * math.exp(_grass_rate(p) * p.tau)
 
 
-def _g_int(p: ModelParams) -> float:
-    return (p.K_G / p.gamma_G) * (math.log(1.0 - p.eta_G) + _grass_rate(p) * p.tau) / p.tau
-
-
-def _forest_eq(p: ModelParams, r_t0: float) -> VegState | None:
-    if r_t0 <= 1.0:
-        return None
-    t_s = p.K_T * p.mu_NS / (p.mu_NS + p.omega_S) * (1.0 - 1.0 / r_t0)
-    t_ns = p.omega_S / p.mu_NS * t_s
-    return VegState(t_s, t_ns, 0.0)
-
-
-def _quadratic_roots(a: float, b: float) -> tuple[complex, complex]:
-    """Roots of x^2 - a x + b, largest real part first; stable evaluation."""
-    disc = a * a - 4.0 * b
-    if disc >= 0.0:
-        sq = math.sqrt(disc)
-        # avoid cancellation: compute the larger-magnitude root first
-        if a >= 0.0:
-            big = (a + sq) / 2.0
-        else:
-            big = (a - sq) / 2.0
-        other = b / big if big != 0.0 else a - big
-        lo, hi = sorted((big, other))
-        return complex(hi), complex(lo)
-    sq = math.sqrt(-disc)
-    return complex(a / 2.0, sq / 2.0), complex(a / 2.0, -sq / 2.0)
+def _grass_level(p, rho, decay):
+    """Closed-form grassland orbit level, with ``decay = exp(-rate*(t - tau))``."""
+    return p.K_G * (1.0 - p.mu_G / p.gamma_G) * (rho - 1.0) / ((rho - 1.0) + p.eta_G * decay)
 
 
 def _require_r_g0(p: ModelParams, what: str) -> None:
@@ -229,9 +224,7 @@ def _grassland_at(p: ModelParams, tt: float) -> float:
         raise ThresholdError(
             f"grassland orbit requires rho_g0 > 1; got rho_g0 = {rho:.6g}"
         )
-    lead = p.K_G * (1.0 - p.mu_G / p.gamma_G) * (rho - 1.0)
-    decay = math.exp(-_grass_rate(p) * (tt - p.tau))
-    return lead / ((rho - 1.0) + p.eta_G * decay)
+    return _grass_level(p, rho, math.exp(-_grass_rate(p) * (tt - p.tau)))
 
 
 def grassland_orbit_end(p: ModelParams) -> float:
@@ -251,6 +244,204 @@ def grassland_orbit(p: ModelParams, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the closed-form kernel
+# ---------------------------------------------------------------------------
+
+def _libm(fn, *args):
+    """``fn`` (a ``math`` function, or ``pow``) on every element of the
+    broadcast ``args``, through Python floats, so each element rounds as the
+    scalar call does.  Returns the values and the mask of elements where
+    ``fn`` raised (an overflow; those values are NaN)."""
+    arrays = np.broadcast_arrays(*args) if len(args) > 1 else [np.asarray(args[0])]
+    flat = [a.ravel().tolist() for a in arrays]
+    shape = arrays[0].shape
+    try:
+        out = list(map(fn, *flat))
+        raised = np.zeros(shape, dtype=bool)
+    except (OverflowError, ValueError, ZeroDivisionError):
+        out, raised = [], []
+        for xs in zip(*flat):
+            try:
+                out.append(fn(*xs))
+                raised.append(False)
+            except (OverflowError, ValueError, ZeroDivisionError):
+                out.append(math.nan)
+                raised.append(True)
+        raised = np.reshape(raised, shape)
+    return np.array(out, dtype=float).reshape(shape), raised
+
+
+def _quadratic_roots(a, b):
+    """Roots (re, im) of x^2 - a x + b, largest real part first; stable evaluation."""
+    disc = a * a - 4.0 * b
+    real = disc >= 0.0
+    sq = np.sqrt(np.where(real, disc, -disc))
+    # avoid cancellation: compute the larger-magnitude root first
+    big = np.where(a >= 0.0, (a + sq) / 2.0, (a - sq) / 2.0)
+    other = np.where(big != 0.0, b / big, a - big)
+    swap = other < big          # hi, lo as sorted() orders them, NaN and ties included
+    hi = np.where(swap, big, other)
+    lo = np.where(swap, other, big)
+    half = a / 2.0
+    return ((np.where(real, hi, half), np.where(real, 0.0, sq / 2.0)),
+            (np.where(real, lo, half), np.where(real, 0.0, -sq / 2.0)))
+
+
+CRITICAL_FIELDS = ("sigma_g_star", "sigma_ns_star", "tau_star")
+
+
+@dataclass(frozen=True)
+class _Cells:
+    """Every closed form on a grid of cells (or on one cell, as numpy scalars)."""
+
+    values: dict[str, np.ndarray]       # report and critical fields; NaN where None
+    defined: dict[str, np.ndarray]      # optional field -> where it is not None
+    # (closed form, what goes wrong, where): evaluations that overflow or
+    # divide by zero in floating point, in evaluation order; the one-cell
+    # calls raise NumericalError for the first
+    fails: tuple[tuple[str, str, np.ndarray], ...]
+    critical_fails: tuple[tuple[str, str, np.ndarray], ...]
+    label: np.ndarray                   # case label (object array of str)
+
+    @property
+    def ok(self) -> np.ndarray:
+        """Cells whose report can be computed."""
+        return ~_any_failed(self.fails)
+
+    @property
+    def critical_ok(self) -> np.ndarray:
+        """Cells whose report and critical values can be computed."""
+        return ~(_any_failed(self.fails) | _any_failed(self.critical_fails))
+
+
+def _any_failed(fails):
+    out = False
+    for _, _, bad in fails:
+        out = out | bad
+    return out
+
+
+def _closed_forms(**params) -> _Cells:
+    """Every threshold, critical value and case label at once.
+
+    ``params`` are the ``ModelParams.flat`` fields, floats or broadcastable
+    arrays.  Every result is computed on every cell and branches become masks;
+    ``+ - * /`` and ``sqrt`` run in numpy in the scalar formulas' order, while
+    ``exp``, ``log`` and the fire-intensity power go through ``_libm``, so a
+    cell carries the same bits as the closed form evaluated on Python floats.
+    """
+    alpha = np.asarray(params.pop("alpha"))
+    # [()] makes a 0-d array a numpy scalar, whose arithmetic is much cheaper
+    p = SimpleNamespace(**{k: np.asarray(v, dtype=float)[()] for k, v in params.items()})
+    nan = math.nan
+    with np.errstate(all="ignore"):
+        rt0_den = p.mu_NS * (p.mu_S + p.omega_S)
+        r_t0 = (p.gamma_S * p.mu_NS + p.gamma_NS * p.omega_S) / rt0_den
+        has_r_g0 = p.mu_G > 0.0
+        r_g0 = np.where(has_r_g0, p.gamma_G / p.mu_G, nan)
+        rate = _grass_rate(p)
+        growth, growth_raised = _libm(math.exp, rate * p.tau)
+        rho_g0 = (1.0 - p.eta_G) * growth
+        log_keep, _ = _libm(math.log, 1.0 - p.eta_G)
+        g_int = (p.K_G / p.gamma_G) * (log_keep + rate * p.tau) / p.tau
+        grassland_exists = (rho_g0 > 1.0) & (rate > 0.0)
+
+        # tree block averaged over one grassland period
+        denom_rgt = p.mu_NS * (p.mu_S + p.omega_S) + p.mu_NS * p.sigma_G * g_int
+        num_rgt = p.gamma_S * p.mu_NS + p.omega_S * p.gamma_NS
+        r_g_t = np.where(denom_rgt != 0.0, num_rgt / denom_rgt, math.inf)
+        denom_r = p.mu_S + p.omega_S + p.mu_NS + p.sigma_G * g_int
+        r = np.where(denom_r != 0.0, p.gamma_S / denom_r, math.inf)
+        a_coef = p.tau * (p.gamma_S - denom_r)
+        b_coef = p.tau * p.tau * (p.mu_NS * (p.mu_S + p.omega_S + p.sigma_G * g_int) - num_rgt)
+        (l1_re, l1_im), (l2_re, l2_im) = _quadratic_roots(a_coef, b_coef)
+
+        # the fire-size factor uses the orbit's pre-fire grass level G*(tau-)
+        # (exp(0) = 1 in _grass_level); when the orbit degenerates
+        # (rho_g0 <= 1) grass dies out and the factor is w(0) = 0
+        g_end = np.where(grassland_exists, _grass_level(p, rho_g0, 1.0), 0.0)
+        ga, ga_raised = _libm(pow, g_end, alpha)
+        g0a, g0a_raised = _libm(pow, p.g0, alpha)
+        w_den = ga + g0a
+        shrink = np.abs(1.0 - p.eta_S * (ga / w_den))
+        e1, e1_raised = _libm(math.exp, l1_re)
+        e2, e2_raised = _libm(math.exp, l2_re)
+        fired = shrink * e1
+        rho_t = np.where(e2 > fired, e2, fired)          # max(fired, e2)
+
+        forest_exists = ~(r_t0 <= 1.0)
+        t_s = p.K_T * p.mu_NS / (p.mu_NS + p.omega_S) * (1.0 - 1.0 / r_t0)
+        t_ns = p.omega_S / p.mu_NS * t_s
+        crowd = p.mu_G + p.sigma_NS * t_ns
+        r_t_g = np.where(crowd > 0.0, p.gamma_G / crowd, math.inf)
+        e3, e3_raised = _libm(math.exp, (p.gamma_G - crowd) * p.tau)
+        rho_t_g = (1.0 - p.eta_G) * e3
+
+        sigma_g_star = (p.gamma_S - (p.mu_S + p.omega_S + p.mu_NS)) / g_int
+        sigma_ns_star = (rate + log_keep / p.tau) / t_ns
+        tau_den = p.gamma_G * (1.0 - 1.0 / r_t_g)
+        tau_star = -log_keep / tau_den
+
+    tau_star_defined = forest_exists & (r_t_g > 1.0)
+    defined = {
+        "r_g0": has_r_g0, "r_t_g": forest_exists, "rho_t_g": forest_exists,
+        "t_s": forest_exists, "t_ns": forest_exists, "sigma_g_star": g_int > 0.0,
+        "sigma_ns_star": forest_exists, "tau_star": tau_star_defined,
+    }
+    values = {
+        "r_t0": r_t0, "r_g0": r_g0, "rho_g0": rho_g0, "g_int": g_int, "r_g_t": r_g_t,
+        "r": r, "a_coef": a_coef, "b_coef": b_coef, "lambda1_re": l1_re,
+        "lambda1_im": l1_im, "lambda2_re": l2_re, "lambda2_im": l2_im, "rho_t": rho_t,
+        "r_t_g": r_t_g, "rho_t_g": rho_t_g, "t_s": t_s, "t_ns": t_ns,
+        "grassland_exists": grassland_exists, "forest_exists": forest_exists,
+        "sigma_g_star": sigma_g_star, "sigma_ns_star": sigma_ns_star, "tau_star": tau_star,
+    }
+    for name, where in defined.items():
+        values[name] = np.where(where, values[name], nan)
+    # VegState rejects a forest equilibrium that is not finite and nonnegative
+    bad_eq = forest_exists & ~((t_s >= 0.0) & (t_ns >= 0.0) & np.isfinite(t_s + t_ns))
+    fails = (
+        ("r_t0", "divides by zero", rt0_den == 0.0),
+        ("rho_g0", "overflows", growth_raised),
+        ("rho_t", "overflows", ga_raised | g0a_raised | (w_den == 0.0) | e1_raised | e2_raised),
+        ("forest_eq", "is not finite", bad_eq),
+        ("rho_t_g", "overflows", forest_exists & e3_raised),
+    )
+    critical_fails = (
+        ("sigma_ns_star", "divides by zero", forest_exists & (t_ns == 0.0)),
+        ("tau_star", "divides by zero", tau_star_defined & (tau_den == 0.0)),
+    )
+    facts = {k: values[k] for k in ("r_t0", "r_g0", "rho_g0", "r_t_g", "rho_t_g",
+                                     "r_g_t", "rho_t")}
+    facts["has_r_g0"] = has_r_g0
+    label = _LABELS[_rule_index(facts)]
+    return _Cells(values, defined, fails, critical_fails, label)
+
+
+def _one_cell(p: ModelParams) -> _Cells:
+    """The kernel on one validated parameter set.
+
+    Raises NumericalError, naming the closed form, where float evaluation
+    fails (an overflow the scalar ``math`` call would raise).
+    """
+    require_valid(p)
+    cells = _closed_forms(**p.flat())
+    _raise_failure(cells.fails)
+    return cells
+
+
+def _raise_failure(fails) -> None:
+    for name, what, bad in fails:
+        if bad:
+            raise NumericalError(f"the closed form of {name} {what} at these parameters")
+
+
+def _unpack(cells: _Cells, name: str) -> float | None:
+    """One cell's optional field: a float, or None where it is undefined."""
+    return float(cells.values[name]) if cells.defined[name] else None
+
+
+# ---------------------------------------------------------------------------
 # main computations
 # ---------------------------------------------------------------------------
 
@@ -260,62 +451,120 @@ def compute_thresholds(p: ModelParams) -> ThresholdReport:
     All algebraic quantities are evaluated from their closed forms even in
     regimes where the underlying solution does not exist (the existence flags
     say so); quantities whose defining equilibrium is absent (``r_t_g``,
-    ``rho_t_g`` without a forest) are None.
+    ``rho_t_g`` without a forest) are None.  This is ``_closed_forms`` on
+    one cell.  Raises ParameterError for invalid parameters and
+    NumericalError where a closed form overflows (for instance
+    ``exp((gamma_G - mu_G) * tau)`` for a very long fire period).
     """
-    require_valid(p)
-
-    r_t0 = (p.gamma_S * p.mu_NS + p.gamma_NS * p.omega_S) / (
-        p.mu_NS * (p.mu_S + p.omega_S)
-    )
-    r_g0 = p.gamma_G / p.mu_G if p.mu_G > 0 else None
-    rho_g0 = _rho_g0(p)
-    g_int = _g_int(p)
-
-    grassland_exists = rho_g0 > 1.0 and _grass_rate(p) > 0.0
-
-    # tree block averaged over one grassland period
-    denom_rgt = p.mu_NS * (p.mu_S + p.omega_S) + p.mu_NS * p.sigma_G * g_int
-    num_rgt = p.gamma_S * p.mu_NS + p.omega_S * p.gamma_NS
-    r_g_t = num_rgt / denom_rgt if denom_rgt != 0.0 else math.inf
-    denom_r = p.mu_S + p.omega_S + p.mu_NS + p.sigma_G * g_int
-    r = p.gamma_S / denom_r if denom_r != 0.0 else math.inf
-    a_coef = p.tau * (p.gamma_S - denom_r)
-    b_coef = p.tau * p.tau * (p.mu_NS * (p.mu_S + p.omega_S + p.sigma_G * g_int) - num_rgt)
-    lambda1, lambda2 = _quadratic_roots(a_coef, b_coef)
-
-    # the fire-size factor uses the orbit's pre-fire grass level; when the
-    # orbit degenerates (rho_g0 <= 1) grass dies out and the factor is w(0)=0
-    g_end = grassland_orbit_end(p) if grassland_exists else 0.0
-    shrink = abs(1.0 - p.eta_S * fire_intensity(g_end, p.fire))
-    rho_t = max(shrink * math.exp(lambda1.real), math.exp(lambda2.real))
-
-    forest_eq = _forest_eq(p, r_t0)
-    forest_exists = forest_eq is not None
-    if forest_exists:
-        crowd = p.mu_G + p.sigma_NS * forest_eq.t_ns
-        r_t_g = p.gamma_G / crowd if crowd > 0.0 else math.inf
-        rho_t_g = (1.0 - p.eta_G) * math.exp((p.gamma_G - crowd) * p.tau)
-    else:
-        r_t_g = None
-        rho_t_g = None
-
-    cls = _classify_values(
-        r_t0=r_t0, r_g0=r_g0, rho_g0=rho_g0, r_t_g=r_t_g,
-        rho_t_g=rho_t_g, r_g_t=r_g_t, rho_t=rho_t,
-        grassland_exists=grassland_exists, forest_exists=forest_exists,
-    )
-
+    cells = _one_cell(p)
+    v = cells.values
+    forest_exists = bool(v["forest_exists"])
+    grassland_exists = bool(v["grassland_exists"])
     return ThresholdReport(
-        r_t0=r_t0, r_g0=r_g0, rho_g0=rho_g0, g_int=g_int, r_g_t=r_g_t, r=r,
-        a_coef=a_coef, b_coef=b_coef, lambda1=lambda1, lambda2=lambda2,
-        rho_t=rho_t, r_t_g=r_t_g, rho_t_g=rho_t_g, forest_eq=forest_eq,
+        r_t0=float(v["r_t0"]), r_g0=_unpack(cells, "r_g0"), rho_g0=float(v["rho_g0"]),
+        g_int=float(v["g_int"]), r_g_t=float(v["r_g_t"]), r=float(v["r"]),
+        a_coef=float(v["a_coef"]), b_coef=float(v["b_coef"]),
+        lambda1=complex(float(v["lambda1_re"]), float(v["lambda1_im"])),
+        lambda2=complex(float(v["lambda2_re"]), float(v["lambda2_im"])),
+        rho_t=float(v["rho_t"]), r_t_g=_unpack(cells, "r_t_g"),
+        rho_t_g=_unpack(cells, "rho_t_g"),
+        forest_eq=(VegState(float(v["t_s"]), float(v["t_ns"]), 0.0)
+                   if forest_exists else None),
         grassland_exists=grassland_exists, forest_exists=forest_exists,
-        savanna_existence_condition=grassland_exists, classification=cls.label,
+        savanna_existence_condition=grassland_exists,
+        classification=str(cells.label),
     )
 
 
-def _near_one(x: float | None) -> bool:
-    return x is not None and math.isfinite(x) and abs(x - 1.0) < DEGENERATE_TOL
+# ---------------------------------------------------------------------------
+# classification: one ordered rule table
+# ---------------------------------------------------------------------------
+
+def _near_one(x):
+    """|x - 1| below DEGENERATE_TOL; False where x is NaN (None) or infinite."""
+    return np.isfinite(x) & (np.abs(x - 1.0) < DEGENERATE_TOL)
+
+
+class _Outcome(NamedTuple):
+    label: str
+    case: int | None
+    savanna: str
+
+
+def _degenerate(name, when=lambda f: True):
+    return (_Outcome(f"degenerate({name}=1)", None, "indeterminate"),
+            lambda f: _near_one(f[name]) & when(f))
+
+
+def _gas(which, when):
+    return _Outcome(f"{which}_gas", None, "nonexistent"), when
+
+
+# First matching rule wins.  Conditions read "facts": the report values,
+# NaN where a value is None (so every comparison with it is False), plus
+# ``has_r_g0`` (mu_G > 0).  A cell no rule takes is a case of the summary
+# table below.
+_RULES = (
+    _degenerate("r_t0"),
+    _degenerate("r_g0"),
+    _gas("desert", lambda f: (f["r_t0"] < 1.0) & (f["r_g0"] < 1.0)),
+    _gas("forest", lambda f: (f["r_t0"] > 1.0) & (f["r_g0"] < 1.0)),
+    # r_g0 > 1 (or undefined: mu_G = 0): grass persistence is rho_g0's call;
+    # with trees (r_t0 > 1, r_g0 > 1) it is the summary table's
+    _degenerate("rho_g0", lambda f: (f["r_t0"] < 1.0) | ~f["has_r_g0"]),
+    _gas("grassland", lambda f: (f["r_t0"] < 1.0) & (f["rho_g0"] > 1.0)),
+    _gas("desert", lambda f: f["r_t0"] < 1.0),
+    _gas("forest", lambda f: ~f["has_r_g0"] & (f["rho_g0"] < 1.0)),
+    # summary table
+    _degenerate("r_t_g"),
+    _degenerate("rho_g0"),
+    _degenerate("rho_t_g", lambda f: (f["r_t_g"] > 1.0) & (f["rho_g0"] > 1.0)),
+    _degenerate("r_g_t", lambda f: f["rho_g0"] > 1.0),
+    _degenerate("rho_t", lambda f: (f["rho_g0"] > 1.0) & (f["r_g_t"] > 1.0)),
+)
+
+# the paper's summary table (r_t0 > 1 with r_g0 > 1, or rho_g0 > 1 for
+# mu_G = 0): case n is the row saying whether each quantity exceeds one
+# (None: either way); every sign pattern falls in exactly one row
+_SUMMARY = ("r_t_g", "rho_g0", "rho_t_g", "r_g_t", "rho_t")
+_CASE_SIGNS = (
+    (True, True, True, True, True),
+    (True, True, True, True, False),
+    (True, True, True, False, None),
+    (True, True, False, True, True),
+    (True, True, False, True, False),
+    (True, True, False, False, None),
+    (True, False, None, None, None),
+    (False, True, None, True, True),
+    (False, True, None, True, False),
+    (False, True, None, False, None),
+    (False, False, None, None, None),
+)
+
+
+def _case_of_pattern(code: int) -> int:
+    """Case number of the sign pattern whose bit k says _SUMMARY[k] > 1."""
+    (n,) = (n for n, signs in enumerate(_CASE_SIGNS, start=1)
+            if all(s is None or s == bool(code >> k & 1) for k, s in enumerate(signs)))
+    return n
+
+
+_CASE_OF_PATTERN = np.array([_case_of_pattern(code) for code in range(2 ** len(_SUMMARY))])
+# every outcome: the rules' in table order, then case_1 ... case_11
+_OUTCOMES = tuple(outcome for outcome, _ in _RULES) + tuple(
+    _Outcome(f"case_{n}", n, "numerical") for n in range(1, len(_CASE_SIGNS) + 1))
+_LABELS = np.array([outcome.label for outcome in _OUTCOMES], dtype=object)
+
+
+def _rule_index(facts) -> np.ndarray:
+    """Index into ``_OUTCOMES``, cell by cell: the first rule that holds,
+    else the summary-table case."""
+    f = {k: np.asarray(v)[()] for k, v in facts.items()}
+    pattern = sum((f[name] > 1.0) << k for k, name in enumerate(_SUMMARY))
+    index = len(_RULES) - 1 + _CASE_OF_PATTERN[pattern]
+    for k in reversed(range(len(_RULES))):
+        index = np.where(_RULES[k][1](f), k, index)
+    return index
 
 
 def _verdicts(r_t_g, rho_t_g, r_g_t, rho_t, grassland_exists, forest_exists):
@@ -338,90 +587,20 @@ def _verdicts(r_t_g, rho_t_g, r_g_t, rho_t, grassland_exists, forest_exists):
     return e_t, e_g
 
 
-def _classify_values(r_t0, r_g0, rho_g0, r_t_g, rho_t_g, r_g_t, rho_t,
-                     grassland_exists, forest_exists) -> Classification:
-    e_t, e_g = _verdicts(r_t_g, rho_t_g, r_g_t, rho_t, grassland_exists, forest_exists)
-
-    def deg(name, value) -> Classification:
-        del value
-        return Classification(
-            label=f"degenerate({name}=1)", case=None, e_t=e_t, e_g=e_g,
-            savanna="indeterminate",
-        )
-
-    def gas(which) -> Classification:
-        return Classification(label=f"{which}_gas", case=None, e_t=e_t, e_g=e_g,
-                              savanna="nonexistent")
-
-    if _near_one(r_t0):
-        return deg("r_t0", r_t0)
-
-    if r_g0 is not None:
-        if _near_one(r_g0):
-            return deg("r_g0", r_g0)
-        if r_t0 < 1.0 and r_g0 < 1.0:
-            return gas("desert")
-        if r_t0 > 1.0 and r_g0 < 1.0:
-            return gas("forest")
-        if r_t0 < 1.0 and r_g0 > 1.0:
-            if _near_one(rho_g0):
-                return deg("rho_g0", rho_g0)
-            return gas("grassland") if rho_g0 > 1.0 else gas("desert")
-    else:
-        if _near_one(rho_g0):
-            return deg("rho_g0", rho_g0)
-        if r_t0 < 1.0:
-            return gas("grassland") if rho_g0 > 1.0 else gas("desert")
-        if rho_g0 < 1.0:
-            return gas("forest")
-
-    # summary table: r_t0 > 1 together with r_g0 > 1 (mu_G > 0) or rho_g0 > 1
-    for name, value in (("r_t_g", r_t_g), ("rho_g0", rho_g0)):
-        if _near_one(value):
-            return deg(name, value)
-
-    def case(n: int) -> Classification:
-        return Classification(label=f"case_{n}", case=n, e_t=e_t, e_g=e_g,
-                              savanna="numerical")
-
-    if r_t_g > 1.0:
-        if rho_g0 > 1.0:
-            if _near_one(rho_t_g):
-                return deg("rho_t_g", rho_t_g)
-            if rho_t_g > 1.0:
-                if _near_one(r_g_t):
-                    return deg("r_g_t", r_g_t)
-                if r_g_t > 1.0:
-                    if _near_one(rho_t):
-                        return deg("rho_t", rho_t)
-                    return case(1) if rho_t > 1.0 else case(2)
-                return case(3)
-            if _near_one(r_g_t):
-                return deg("r_g_t", r_g_t)
-            if r_g_t > 1.0:
-                if _near_one(rho_t):
-                    return deg("rho_t", rho_t)
-                return case(4) if rho_t > 1.0 else case(5)
-            return case(6)
-        return case(7)
-    if rho_g0 > 1.0:
-        if _near_one(r_g_t):
-            return deg("r_g_t", r_g_t)
-        if r_g_t > 1.0:
-            if _near_one(rho_t):
-                return deg("rho_t", rho_t)
-            return case(8) if rho_t > 1.0 else case(9)
-        return case(10)
-    return case(11)
-
-
 def classify(rep: ThresholdReport) -> Classification:
     """Re-derive the classification from a computed report."""
-    return _classify_values(
-        r_t0=rep.r_t0, r_g0=rep.r_g0, rho_g0=rep.rho_g0,
-        r_t_g=rep.r_t_g, rho_t_g=rep.rho_t_g, r_g_t=rep.r_g_t, rho_t=rep.rho_t,
-        grassland_exists=rep.grassland_exists, forest_exists=rep.forest_exists,
-    )
+    def fact(v):
+        return math.nan if v is None else v
+
+    outcome = _OUTCOMES[int(_rule_index({
+        "r_t0": rep.r_t0, "r_g0": fact(rep.r_g0), "rho_g0": rep.rho_g0,
+        "r_t_g": fact(rep.r_t_g), "rho_t_g": fact(rep.rho_t_g), "r_g_t": rep.r_g_t,
+        "rho_t": rep.rho_t, "has_r_g0": rep.r_g0 is not None,
+    }))]
+    e_t, e_g = _verdicts(rep.r_t_g, rep.rho_t_g, rep.r_g_t, rep.rho_t,
+                         rep.grassland_exists, rep.forest_exists)
+    return Classification(label=outcome.label, case=outcome.case, e_t=e_t, e_g=e_g,
+                          savanna=outcome.savanna)
 
 
 # ---------------------------------------------------------------------------
@@ -433,24 +612,12 @@ def critical_values(p: ModelParams) -> CriticalValues:
 
     ``sigma_g_star`` needs a positive orbit average (g_int > 0);
     ``sigma_ns_star`` needs the forest equilibrium; ``tau_star`` needs
-    r_t_g > 1.  Unavailable values are None.
+    r_t_g > 1.  Unavailable values are None.  Raises like
+    ``compute_thresholds``.
     """
-    rep = compute_thresholds(p)
-
-    sigma_g_star = None
-    if rep.g_int > 0.0:
-        sigma_g_star = (p.gamma_S - (p.mu_S + p.omega_S + p.mu_NS)) / rep.g_int
-
-    sigma_ns_star = None
-    if rep.forest_exists:
-        sigma_ns_star = (
-            _grass_rate(p) + math.log(1.0 - p.eta_G) / p.tau
-        ) / rep.forest_eq.t_ns
-
-    tau_star = None
-    if rep.r_t_g is not None and rep.r_t_g > 1.0:
-        tau_star = -math.log(1.0 - p.eta_G) / (p.gamma_G * (1.0 - 1.0 / rep.r_t_g))
-    return CriticalValues(sigma_g_star, sigma_ns_star, tau_star)
+    cells = _one_cell(p)
+    _raise_failure(cells.critical_fails)
+    return CriticalValues(*(_unpack(cells, name) for name in CRITICAL_FIELDS))
 
 
 def eta_g_boundary(p: ModelParams) -> float:

@@ -1,5 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import savanna
 from savanna import dump_params_text, region_preset
 from savanna.cli import main
+
+SRC = Path(savanna.__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -145,3 +153,36 @@ def test_numerical_failure_exits_3(capsys):
                        "--scheme", "reference", "--h", "0.45", "--horizon", "20")
     assert code == 3
     assert "numerical failure" in err
+
+
+def run_process(*argv):
+    """The CLI in a fresh interpreter, so an uncaught exception would print
+    its traceback to stderr instead of failing the test process."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    code = "import sys; from savanna.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+# with mu_G = 0 and gamma_G = 2, exp(gamma_G * tau) overflows for tau > 354.9
+OVERFLOW = ("--region", "1", "--set", "mu_G=0", "--set", "gamma_G=2")
+
+
+def test_overflowing_closed_form_classify_exits_3():
+    proc = run_process("classify", *OVERFLOW, "--set", "tau=400")
+    assert proc.returncode == 3
+    assert "savanna: numerical failure: the closed form of rho_g0 overflows" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_overflowing_sweep_cells_are_undefined(tmp_path):
+    grid = tmp_path / "cases.csv"
+    proc = run_process("sweep", *OVERFLOW, "--axes", "tau:300:500:3,eta_G:0.1:0.9:3",
+                       "--quantity", "case", "--output", str(grid))
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    rows = [line.split(",") for line in grid.read_text().splitlines()
+            if not line.startswith("#")][1:]
+    assert [(tau, defined) for tau, _, _, defined in rows] == (
+        [("300", "1")] * 3 + [("400", "0")] * 3 + [("500", "0")] * 3)

@@ -1,18 +1,26 @@
+import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import savanna
 import savanna.floquet
+import savanna.model
+import savanna.sweep
+import savanna.thresholds
 from savanna import (
     AxisSpec,
     NumericalError,
     classify_grid,
     compute_thresholds,
+    critical_values,
     level_curve,
     region_preset,
     scan,
 )
+from savanna.sweep import QUANTITIES
 
 
 def base1(**over):
@@ -275,3 +283,102 @@ def test_rho_tg_scan_survives_a_numerically_failing_cell(monkeypatch):
     assert np.array_equal(gs.defined, expected)
     assert np.isnan(gs.values[2, 2])
     assert np.all(np.isfinite(gs.values[expected]))
+
+
+# ---------------------------------------------------------------------------
+# closed-form grids against cell-by-cell evaluation
+# ---------------------------------------------------------------------------
+
+CRITICAL = ("sigma_g_star", "sigma_ns_star", "tau_star")
+CLOSED_FORM = tuple(q for q in QUANTITIES if q != "rho_tg")
+
+
+def _cell(base, name1, x, name2, y):
+    """Every closed-form quantity at one node through the one-cell calls;
+    None where undefined, and any exception leaves the whole cell undefined."""
+    out = dict.fromkeys(CLOSED_FORM)
+    try:
+        p = base.replace(**{name1: float(x), name2: float(y)})
+        rep = compute_thresholds(p)
+    except Exception:
+        return out
+    out["case"] = rep.classification
+    for q in CLOSED_FORM[:-1]:
+        if q not in CRITICAL:
+            v = getattr(rep, q)
+            out[q] = v if v is not None and math.isfinite(v) else None
+    try:
+        cv = critical_values(p)
+    except Exception:
+        return out
+    for q in CRITICAL:
+        out[q] = getattr(cv, q)
+    return out
+
+
+def _cellwise_csv(cells, a1, a2, quantity):
+    lines = [f"{a1.name},{a2.name},value,defined"]
+    for i, x in enumerate(a1.values()):
+        for j, y in enumerate(a2.values()):
+            v = cells[i][j][quantity]
+            sval = "undefined" if v is None else v if quantity == "case" else f"{v:.17g}"
+            lines.append(f"{x:.17g},{y:.17g},{sval},{int(v is not None)}")
+    return "\n".join(lines) + "\n"
+
+
+def _grid_cases():
+    for region in (1, 2, 3):
+        preset = region_preset(region)
+        base, ranges = preset.params, preset.ranges
+        yield base, AxisSpec("tau", *ranges["tau"], 6), AxisSpec("eta_G", 0.0, 1.2, 7)
+        yield base, AxisSpec("mu_G", 0.0, 0.6, 7), AxisSpec("gamma_G", *ranges["gamma_G"], 5)
+        yield base, AxisSpec("sigma_NS", -0.05, 0.1, 6), AxisSpec("K_G", *ranges["K_G"], 5)
+        yield base, AxisSpec("g0", -1.0, base.K_G, 5), AxisSpec("sigma_G", 0.1, 1.6, 6)
+    # exp((gamma_G - mu_G) tau) overflows for tau above 354.9
+    yield (region_preset(1).params.replace(mu_G=0.0, gamma_G=2.0),
+           AxisSpec("tau", 300.0, 500.0, 5), AxisSpec("eta_G", 0.1, 0.9, 3))
+    # a subnormal K_T underflows the forest equilibrium to zero, and the
+    # critical values divide by it
+    yield (region_preset(1).params, AxisSpec("K_T", 5e-324, 1e-322, 3),
+           AxisSpec("sigma_NS", -0.02, 0.02, 3))
+    # an invalid base whose bad field is an axis
+    yield (region_preset(2).params.replace(eta_G=1.5),
+           AxisSpec("tau", 2.0, 5.0, 4), AxisSpec("eta_G", 0.5, 1.1, 4))
+
+
+@pytest.mark.parametrize("base,a1,a2", list(_grid_cases()))
+def test_closed_form_scan_equals_cell_by_cell_evaluation(base, a1, a2):
+    cells = [[_cell(base, a1.name, x, a2.name, y) for y in a2.values()] for x in a1.values()]
+    for quantity in CLOSED_FORM:
+        if all(c[quantity] is None for row in cells for c in row):
+            with pytest.raises(ValueError, match="whole grid"):
+                scan(base, a1, a2, quantity)
+        else:
+            expected = _cellwise_csv(cells, a1, a2, quantity)
+            assert scan(base, a1, a2, quantity).to_csv() == expected, quantity
+
+
+def test_closed_form_scan_does_not_evaluate_cell_by_cell(monkeypatch):
+    calls = Counter()
+    modules = (savanna, savanna.model, savanna.thresholds, savanna.sweep, savanna.floquet)
+    for name, original in (("compute_thresholds", savanna.thresholds.compute_thresholds),
+                           ("validate", savanna.model.validate)):
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in modules:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+
+    a1 = AxisSpec("eta_G", 0.1, 0.87, 41)
+    a2 = AxisSpec("sigma_NS", -0.029, -0.0155, 37)
+    for quantity in ("rho_t_g", "case", "tau_star"):
+        calls.clear()
+        gs = scan(base1(), a1, a2, quantity)
+        assert gs.defined.any()
+        assert calls["compute_thresholds"] == 0
+        assert calls["validate"] <= a1.n + a2.n + 1
+    # the counters do see one-cell evaluations
+    savanna.compute_thresholds(base1())
+    assert calls["compute_thresholds"] == 1 and calls["validate"] == 1
