@@ -188,7 +188,10 @@ def _cmd_simulate(args) -> None:
     if args.h <= 0:
         raise _UsageError(f"--h must be positive, got {args.h:g}")
     s0 = _parse_state(args.s0, p, VegState(0.1 * p.K_T, 0.05 * p.K_T, 0.5 * p.K_G))
-    traj = simulate(p, s0, horizon=args.horizon, h=args.h, scheme=args.scheme)
+    try:
+        traj = simulate(p, s0, horizon=args.horizon, h=args.h, scheme=args.scheme)
+    except ValueError as exc:       # above the sample cap (NaN included)
+        raise _UsageError(str(exc)) from None
     out = _echo_block(p)
     out += f"# scheme = {traj.scheme}, h_requested = {traj.h_requested:.17g}, " \
            f"h_effective = {traj.h_effective:.17g}\n"

@@ -4,7 +4,15 @@ The monodromy of a fire-period orbit is ``J(s_pre) @ Phi(tau)`` where ``Phi``
 solves the variational equation ``Phi' = DF(orbit(t)) Phi`` along the orbit
 (integrated jointly with the orbit by the fourth-order reference stepper) and
 ``J`` is the linearization of the fire map at the pre-fire state.  The orbit
-is re-integrated on every call rather than interpolated from stored samples.
+is re-integrated on every call rather than interpolated from stored samples,
+by RK4 on plain floats that writes out the nine entries of ``DF @ Phi``; its
+state update is the period map's, bit for bit.
+
+``locate_savanna_orbit`` finds the fixed point of the period map (flow, then
+fire) by fixed-point iteration until the residual is below
+``1e-4 * max(K_T, K_G)`` and the contraction ratio has settled, then by
+damped Newton steps, each from one variational pass.  The tight switch keeps
+Newton from jumping to a neighbouring orbit.
 
 The spectral radius of the monodromy decides local stability of the orbit
 that ``floquet_report`` locates.  The analytic grassland multipliers are a
@@ -56,7 +64,10 @@ def _require_steps(n: int) -> None:
 
 def jacobian(s: VegState, p: ModelParams) -> np.ndarray:
     """Exact Jacobian of the flow at ``s``."""
-    return _jacobian(s.t_s, s.t_ns, s.g, p)
+    j11, j12, j13, j32, j33 = _jacobian(s.t_s, s.t_ns, s.g, p)
+    return np.array([[j11, j12, j13],
+                     [p.omega_S, -p.mu_NS, 0.0],
+                     [0.0, j32, j33]])
 
 
 def jump_jacobian(s: VegState, p: ModelParams) -> np.ndarray:
@@ -78,30 +89,58 @@ def jump_jacobian(s: VegState, p: ModelParams) -> np.ndarray:
 # flow + variational integration (RK4 on the augmented system)
 # ---------------------------------------------------------------------------
 
+def _variational_rhs(ts, tns, g, phi, p, j21, j22):
+    """Right-hand side of the augmented system on plain floats: the flow,
+    ``DF @ Phi`` entry by entry (``phi`` row-major) and ``trace DF``."""
+    j11, j12, j13, j32, j33 = _jacobian(ts, tns, g, p)
+    f11, f12, f13, f21, f22, f23, f31, f32, f33 = phi
+    return _rhs(ts, tns, g, p), (
+        j11 * f11 + j12 * f21 + j13 * f31,
+        j11 * f12 + j12 * f22 + j13 * f32,
+        j11 * f13 + j12 * f23 + j13 * f33,
+        j21 * f11 + j22 * f21,
+        j21 * f12 + j22 * f22,
+        j21 * f13 + j22 * f23,
+        j32 * f21 + j33 * f31,
+        j32 * f22 + j33 * f32,
+        j32 * f23 + j33 * f33,
+    ), j11 + j22 + j33
+
+
 def _flow_variational(p: ModelParams, anchor: VegState, n: int):
-    """Returns (pre-fire state, Phi(tau), integral of trace DF along orbit)."""
+    """Returns (pre-fire state, Phi(tau), integral of trace DF along orbit).
+
+    Classical RK4 on floats; the state update is ``integrate._rk4_step``'s
+    expression, so the pre-fire state equals the period map's bit for bit.
+    """
     h = p.tau / n
-    s = np.array([anchor.t_s, anchor.t_ns, anchor.g])
-    phi = np.eye(3)
+    half = 0.5 * h
+    sixth = h / 6.0
+    j21, j22 = p.omega_S, -p.mu_NS
+    ts, tns, g = anchor.t_s, anchor.t_ns, anchor.g
+    phi = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
     q = 0.0
-
-    def rhs(sv, pv, qv):
-        del qv
-        df = _jacobian(sv[0], sv[1], sv[2], p)
-        return np.array(_rhs(sv[0], sv[1], sv[2], p)), df @ pv, np.trace(df)
-
     for _ in range(n):
-        k1s, k1p, k1q = rhs(s, phi, q)
-        k2s, k2p, k2q = rhs(s + 0.5 * h * k1s, phi + 0.5 * h * k1p, q + 0.5 * h * k1q)
-        k3s, k3p, k3q = rhs(s + 0.5 * h * k2s, phi + 0.5 * h * k2p, q + 0.5 * h * k2q)
-        k4s, k4p, k4q = rhs(s + h * k3s, phi + h * k3p, q + h * k3q)
-        s = s + h / 6.0 * (k1s + 2.0 * (k2s + k3s) + k4s)
-        phi = phi + h / 6.0 * (k1p + 2.0 * (k2p + k3p) + k4p)
-        q = q + h / 6.0 * (k1q + 2.0 * (k2q + k3q) + k4q)
-        if not np.all(np.isfinite(s)):
-            raise NumericalError("orbit escaped during variational integration")
-    pre = VegState(max(float(s[0]), 0.0), max(float(s[1]), 0.0), max(float(s[2]), 0.0))
-    return pre, phi, q
+        (a1, b1, c1), k1, q1 = _variational_rhs(ts, tns, g, phi, p, j21, j22)
+        (a2, b2, c2), k2, q2 = _variational_rhs(
+            ts + half * a1, tns + half * b1, g + half * c1,
+            [f + half * k for f, k in zip(phi, k1)], p, j21, j22)
+        (a3, b3, c3), k3, q3 = _variational_rhs(
+            ts + half * a2, tns + half * b2, g + half * c2,
+            [f + half * k for f, k in zip(phi, k2)], p, j21, j22)
+        (a4, b4, c4), k4, q4 = _variational_rhs(
+            ts + h * a3, tns + h * b3, g + h * c3,
+            [f + h * k for f, k in zip(phi, k3)], p, j21, j22)
+        ts = ts + sixth * (a1 + 2.0 * (a2 + a3) + a4)
+        tns = tns + sixth * (b1 + 2.0 * (b2 + b3) + b4)
+        g = g + sixth * (c1 + 2.0 * (c2 + c3) + c4)
+        phi = [f + sixth * (e1 + 2.0 * (e2 + e3) + e4)
+               for f, e1, e2, e3, e4 in zip(phi, k1, k2, k3, k4)]
+        q = q + sixth * (q1 + 2.0 * (q2 + q3) + q4)
+    if not (math.isfinite(ts) and math.isfinite(tns) and math.isfinite(g)):
+        raise NumericalError("orbit escaped during variational integration")
+    pre = VegState(max(ts, 0.0), max(tns, 0.0), max(g, 0.0))
+    return pre, np.array(phi).reshape(3, 3), q
 
 
 @dataclass(frozen=True)
@@ -151,9 +190,10 @@ class OrbitResult:
     anchor: VegState
     converged: bool
     residual: float
-    iterations: int
-    newton_iterations: int
+    iterations: int               # fixed-point steps, one period map each
+    newton_iterations: int        # Newton steps, one variational pass each
     boundary: str | None          # "desert"/"forest"/"grassland" if not interior
+    clamped: int                  # Newton steps that zeroed a negative component
 
     @property
     def interior(self) -> bool:
@@ -187,9 +227,22 @@ def locate_savanna_orbit(p: ModelParams, guess: VegState, tol: float = 1e-10,
                          max_iter: int = 600, n: int = DEFAULT_STEPS) -> OrbitResult:
     """Find a fixed point of the period map (flow over one period, then fire).
 
-    Fixed-point iteration runs first; if it stalls, Newton steps using
-    ``I - M`` (M = monodromy at the current point) polish the anchor.
-    Convergence to a boundary solution is reported by name, not as an error.
+    Fixed-point iteration runs until it is in the basin of the fixed point it
+    is heading for: the residual ``res_k = |P(x) - x|`` is below
+    ``1e-4 * max(K_T, K_G)`` and the contraction ratio
+    ``r_k = res_k / res_{k-1}`` has settled (``|r_k - r_{k-1}| < 0.05`` and
+    ``r_k < 1``), or, as before, it stalls (``res_k > 0.95 res_{k-1}`` after
+    ten steps with ``res_k < 1e-2``).  Damped Newton steps on
+    ``P(x) - x = 0`` then finish the location, each taking ``P(x)`` and
+    ``M`` from one ``monodromy_full`` pass and solving with ``I - M``.  If a
+    Newton residual does not shrink, or ``I - M`` is singular, the iteration
+    goes back to a plain fixed-point step from the last accepted point and
+    must settle again before the next Newton step.  A looser switch lets
+    Newton jump to a neighbouring orbit (a forest instead of a grassland
+    orbit, say).  Negative components of a Newton step are set to zero and
+    counted in ``clamped``.  Convergence to a boundary solution is reported
+    by name, not as an error; ``iterations`` and ``newton_iterations`` stop
+    at ``max_iter`` each.
     """
     rep = compute_thresholds(p)
     _require_steps(n)
@@ -200,47 +253,63 @@ def locate_savanna_orbit(p: ModelParams, guess: VegState, tol: float = 1e-10,
             stacklevel=2,
         )
 
+    basin = 1e-4 * max(p.K_T, p.K_G)
     x = guess.as_array().astype(float)
     residual = math.inf
-    newton_used = 0
-    prev_residual = math.inf
-    for it in range(1, max_iter + 1):
+    prev_residual = ratio = math.nan      # no history yet: every test is False
+    iterations = newton_used = clamped = 0
+    newton = False
+    while iterations < max_iter and newton_used < max_iter:
+        if newton:
+            newton_used += 1
+            full = monodromy_full(p, VegState.from_array(x), n)
+            pre = full.pre_fire_state
+            px = np.array(_impulse(pre.t_s, pre.t_ns, pre.g, p))
+            step_residual = float(np.linalg.norm(px - x))
+            if step_residual < tol:
+                residual = step_residual
+                break
+            if step_residual >= residual:
+                x, newton = fallback, False
+            else:
+                residual, fallback = step_residual, px
+                try:
+                    delta = np.linalg.solve(np.eye(3) - full.matrix, px - x)
+                except np.linalg.LinAlgError:
+                    x, newton = px, False
+                else:
+                    scale = 1.0
+                    while scale > 1e-4 and np.any(x + scale * delta < -1e-12):
+                        scale *= 0.5
+                    x = x + scale * delta
+                    if np.any(x < 0.0):
+                        clamped += 1
+                        x = np.maximum(x, 0.0)
+            if not newton:
+                prev_residual = ratio = math.nan
+            continue
         px = _period_map(p, x, n)
+        iterations += 1
         residual = float(np.linalg.norm(px - x))
         x = px
         if residual < tol:
             break
-        stalled = residual > 0.95 * prev_residual and it >= 10
+        prev_ratio, ratio = ratio, residual / prev_residual if prev_residual else math.nan
+        settled = ratio < 1.0 and abs(ratio - prev_ratio) < 0.05
+        stalled = residual > 0.95 * prev_residual and iterations >= 10 and residual < 1e-2
         prev_residual = residual
-        if stalled and residual < 1e-2:
-            # Newton refinement on P(x) - x = 0 with Jacobian M - I
-            for _ in range(12):
-                newton_used += 1
-                full = monodromy_full(p, VegState.from_array(x), n)
-                pre = full.pre_fire_state
-                fx = np.array(_impulse(pre.t_s, pre.t_ns, pre.g, p)) - x
-                residual = float(np.linalg.norm(fx))
-                if residual < tol:
-                    break
-                try:
-                    delta = np.linalg.solve(np.eye(3) - full.matrix, fx)
-                except np.linalg.LinAlgError:
-                    break
-                scale = 1.0
-                while scale > 1e-4 and np.any(x + scale * delta < -1e-12):
-                    scale *= 0.5
-                x = np.maximum(x + scale * delta, 0.0)
-            if residual < tol:
-                break
-    converged = residual < tol
+        if (residual < basin and settled) or stalled:
+            # the last fixed-point step is the fallback of the first Newton step
+            newton, fallback = True, x
     x = np.maximum(x, 0.0)
     return OrbitResult(
         anchor=VegState.from_array(x),
-        converged=converged,
+        converged=residual < tol,
         residual=residual,
-        iterations=it,
+        iterations=iterations,
         newton_iterations=newton_used,
         boundary=_boundary_label(x, p),
+        clamped=clamped,
     )
 
 
@@ -339,6 +408,7 @@ def floquet_report(p: ModelParams, guess: VegState | None = None,
         "converged": orbit.converged,
         "iterations": orbit.iterations,
         "newton_iterations": orbit.newton_iterations,
+        "clamped": orbit.clamped,
     }
     return FloquetReport(
         anchor=orbit.anchor, monodromy=m, multipliers=eigs, rho_tg=rho,

@@ -21,7 +21,8 @@ nonnegative on a nonnegative state, so ``Sigma <= K_T`` gives
 
 ``simulate`` integrates segment by segment, applying the fire map at every
 multiple of the fire period; the step is snapped to an exact divisor of the
-period so fires land on grid nodes.
+period so fires land on grid nodes.  It keeps every sample in memory, so it
+refuses runs with ``horizon / h`` above ``MAX_SAMPLES`` (10^7).
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ __all__ = [
     "DenominatorFunctions", "Trajectory", "denominators", "nsfd_step",
     "reference_step", "simulate",
 ]
+
+MAX_SAMPLES = 10**7     # horizon / h; each kept sample holds a VegState
 
 
 @dataclass(frozen=True)
@@ -186,6 +189,10 @@ def simulate(p: ModelParams, s0: VegState, horizon: float, h: float,
         raise ValueError(f"step must be positive, got {h}")
     if scheme not in ("nsfd", "reference"):
         raise ValueError(f"unknown scheme {scheme!r}")
+    if not horizon / h <= MAX_SAMPLES:
+        raise ValueError(
+            f"the run would keep horizon / h = {horizon / h:.3g} samples; the cap "
+            f"is {MAX_SAMPLES:.0e} (use a longer step or a shorter horizon)")
 
     m = max(1, math.ceil(p.tau / h - 1e-12))
     h_eff = p.tau / m

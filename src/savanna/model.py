@@ -188,16 +188,19 @@ def _rhs(ts: float, tns: float, g: float, p: ModelParams):
     return dts, dtns, dg
 
 
-def _jacobian(ts: float, tns: float, g: float, p: ModelParams) -> np.ndarray:
-    """Exact Jacobian of ``_rhs`` on plain floats (states may be negative)."""
-    a1 = (p.gamma_S * (1.0 - (2.0 * ts + tns) / p.K_T)
-          - p.gamma_NS / p.K_T * tns - p.sigma_G * g - p.mu_S - p.omega_S)
-    a2 = (p.gamma_NS * (1.0 - (ts + 2.0 * tns) / p.K_T)
-          - p.gamma_S / p.K_T * ts)
-    a3 = p.gamma_G * (1.0 - 2.0 * g / p.K_G) - p.sigma_NS * tns - p.mu_G
-    return np.array([[a1, a2, -p.sigma_G * ts],
-                     [p.omega_S, -p.mu_NS, 0.0],
-                     [0.0, -p.sigma_NS * g, a3]])
+def _jacobian(ts: float, tns: float, g: float, p: ModelParams):
+    """Exact Jacobian of ``_rhs`` on plain floats (states may be negative).
+
+    Returns its state-dependent entries ``(j11, j12, j13, j32, j33)``; the
+    others are constant: ``j21 = omega_S``, ``j22 = -mu_NS`` and
+    ``j23 = j31 = 0``.
+    """
+    j11 = (p.gamma_S * (1.0 - (2.0 * ts + tns) / p.K_T)
+           - p.gamma_NS / p.K_T * tns - p.sigma_G * g - p.mu_S - p.omega_S)
+    j12 = (p.gamma_NS * (1.0 - (ts + 2.0 * tns) / p.K_T)
+           - p.gamma_S / p.K_T * ts)
+    j33 = p.gamma_G * (1.0 - 2.0 * g / p.K_G) - p.sigma_NS * tns - p.mu_G
+    return j11, j12, -p.sigma_G * ts, -p.sigma_NS * g, j33
 
 
 def vector_field(s: VegState, p: ModelParams) -> np.ndarray:

@@ -218,12 +218,18 @@ def level_curve(gs: GridScan, level: float = 1.0) -> LevelCurve:
         crossing = ((s[:-1, :-1] * s[1:, :-1] < 0.0) | (s[1:, :-1] * s[1:, 1:] < 0.0)
                     | (s[1:, 1:] * s[:-1, 1:] < 0.0) | (s[:-1, 1:] * s[:-1, :-1] < 0.0))
     corners_defined = d[:-1, :-1] & d[1:, :-1] & d[1:, 1:] & d[:-1, 1:]
-    for i, j in np.argwhere(corners_defined & crossing).tolist():
+    ij = np.argwhere(corners_defined & crossing)
+    r, c = ij[:, 0], ij[:, 1]
+    # corner values as Python floats: a product beyond 1e308 is a signed inf,
+    # without the overflow warning that numpy scalars raise
+    square_values = np.stack(
+        (v[r, c], v[r + 1, c], v[r + 1, c + 1], v[r, c + 1]), axis=1).tolist()
+    for (i, j), (v00, v10, v11, v01) in zip(ij.tolist(), square_values):
         corners = (
-            (v[i, j], a1[i], a2[j]),
-            (v[i + 1, j], a1[i + 1], a2[j]),
-            (v[i + 1, j + 1], a1[i + 1], a2[j + 1]),
-            (v[i, j + 1], a1[i], a2[j + 1]),
+            (v00, a1[i], a2[j]),
+            (v10, a1[i + 1], a2[j]),
+            (v11, a1[i + 1], a2[j + 1]),
+            (v01, a1[i], a2[j + 1]),
         )
         pts = []
         for k in range(4):

@@ -186,3 +186,34 @@ def test_overflowing_sweep_cells_are_undefined(tmp_path):
             if not line.startswith("#")][1:]
     assert [(tau, defined) for tau, _, _, defined in rows] == (
         [("300", "1")] * 3 + [("400", "0")] * 3 + [("500", "0")] * 3)
+
+
+def test_level_curve_through_huge_values_prints_no_warning(tmp_path):
+    # rho_g0 reaches 7e216 at tau = 500, so the crossing test multiplies two
+    # numbers whose product is beyond the float range; the curve is the one
+    # the product's signed inf gives, without a numpy overflow warning
+    grid, curves = tmp_path / "grid.csv", tmp_path / "curve.csv"
+    proc = run_process("sweep", "--region", "1", "--set", "gamma_G=1.3",
+                       "--axes", "tau:1:500:2,eta_G:0.5:0.95:4", "--quantity", "rho_g0",
+                       "--level", "1", "--output", str(grid), "--curves", str(curves))
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    rows = [line for line in curves.read_text().splitlines() if not line.startswith("#")]
+    assert rows == [
+        "curve_id,axis1,axis2",
+        "0,1,0.94999999999999996",
+        "0,1,0.80000000000000004",
+        "0,1,0.65000000000000002",
+        "0,1,0.63212055882855767",
+    ]
+
+
+def test_simulate_rejects_more_samples_than_the_cap():
+    from savanna.integrate import MAX_SAMPLES
+    assert MAX_SAMPLES >= 100 * 10**5      # far above a 1000 y run at h = 0.01
+    for horizon, h in (("1e9", "1e-9"), ("1", "1e-320"), ("nan", "0.01"), ("10", "nan")):
+        proc = run_process("simulate", "--region", "2", "--horizon", horizon, "--h", h)
+        assert proc.returncode == 1
+        assert "savanna: usage error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""

@@ -268,6 +268,28 @@ def test_period_map_and_variational_pass_share_the_orbit():
             assert np.array_equal(direct, impulse_map(pre, p).as_array())
 
 
+@pytest.mark.parametrize("region", (1, 2, 3))
+def test_monodromy_matches_finite_differences_of_the_period_map(region):
+    # the hand-written entries of DF @ Phi against central differences of
+    # impulse o flow; interior anchors keep every perturbed state positive
+    p = region_preset(region).params
+    anchors = (VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G),
+               VegState(0.3 * p.K_T, 0.05 * p.K_T, 0.9 * p.K_G),
+               VegState(0.02 * p.K_T, 0.4 * p.K_T, 0.1 * p.K_G))
+    for anchor in anchors:
+        x = anchor.as_array()
+        for n in (16, 64):
+            m = monodromy_full(p, anchor, n).matrix
+            fd = np.empty((3, 3))
+            for k in range(3):
+                eps = 1e-5 * x[k]
+                xp, xm = x.copy(), x.copy()
+                xp[k] += eps
+                xm[k] -= eps
+                fd[:, k] = (_period_map(p, xp, n) - _period_map(p, xm, n)) / (2.0 * eps)
+            assert np.max(np.abs(m - fd)) < 1e-6 * np.max(np.abs(m))
+
+
 def test_step_count_below_one_is_rejected():
     p = case1_region2_params()
     for n in (0, -5):
@@ -328,6 +350,51 @@ def test_newton_polish_lands_on_a_fixed_point_of_the_period_map():
     assert orbit.converged and orbit.boundary == "grassland"
     x = orbit.anchor.as_array()
     assert np.linalg.norm(_period_map(p, x, 64) - x) < 1e-10
+
+
+# floquet_orbits commands (bench/workloads.generate, full size, groups
+# flattened) whose fixed-point iteration creeps towards a grassland orbit with
+# a tree multiplier near 1 (rho_tg 0.982 and 0.986); Newton steps taken from
+# a residual of 1e-2 * max(K_T, K_G) head for the forest orbit instead
+BASIN_CASES = {
+    "seed 2, command 155": dict(
+        tau=1.1746550960325668, K_T=110.3210556427421, K_G=13.477846085529674,
+        gamma_G=3.904479345930069, gamma_S=2.436685622365115,
+        gamma_NS=4.176084610165015, mu_NS=0.06360583434806998,
+        sigma_NS=0.07528758836984031, mu_S=0.14317134090898687,
+        omega_S=0.0851747688516595, mu_G=0.38646303205635196,
+        eta_S=0.6230368085402342, eta_G=0.4708273393425205),
+    "seed 3, command 173": dict(
+        tau=0.8935386055459889, K_T=114.26135961069211, K_G=13.155028794510649,
+        gamma_G=4.232395453149541, gamma_S=2.0783939357635832,
+        gamma_NS=2.684262327587395, mu_NS=0.050047198012582866,
+        sigma_NS=0.08480365157719265, mu_S=0.059918435781651645,
+        omega_S=0.0717443576370767, mu_G=0.16417548582488697,
+        eta_S=0.24766601836898544, eta_G=0.6918895618959058),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BASIN_CASES))
+def test_newton_waits_for_the_basin_of_the_fixed_point_iteration(case):
+    p = region_preset(3).params.replace(**BASIN_CASES[case])
+    guess = VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G)
+    orbit = locate_savanna_orbit(p, guess, n=64)
+    assert orbit.newton_iterations >= 1
+    assert orbit.converged and orbit.boundary == "grassland"
+    # the last Newton step overshoots T = 0, and the zeroing is counted
+    assert orbit.clamped >= 1 and orbit.anchor.t_s == orbit.anchor.t_ns == 0.0
+    assert floquet_report(p, n=64).diagnostics["clamped"] == orbit.clamped
+    # plain fixed-point iteration from the same guess; at a contraction of
+    # 0.986 a residual below 1e-10 leaves it within 1e-8 of its limit
+    x = guess.as_array()
+    for _ in range(5000):
+        px = _period_map(p, x, 64)
+        residual = np.linalg.norm(px - x)
+        x = px
+        if residual < 1e-10:
+            break
+    assert residual < 1e-10
+    assert np.max(np.abs(orbit.anchor.as_array() - x)) < 1e-8 * p.K_G
 
 
 def test_locate_warns_when_existence_condition_fails():
