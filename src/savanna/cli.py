@@ -28,7 +28,7 @@ from .model import (
 )
 from .thresholds import ThresholdError, compute_thresholds, critical_values
 from .integrate import simulate
-from .floquet import floquet_report
+from .floquet import DEFAULT_STEPS, floquet_report
 from .sweep import AxisSpec, DEFAULT_GRID_N, level_curve, scan
 
 USAGE_ERROR = 1
@@ -78,7 +78,7 @@ def _build_parser() -> _Parser:
     add_params_opts(p_flo)
     p_flo.add_argument("--guess", default=None, metavar="TS,TNS,G",
                        help="initial guess; default 0.1*K_T,0.1*K_T,0.5*K_G")
-    p_flo.add_argument("--steps", type=int, default=2048,
+    p_flo.add_argument("--steps", type=int, default=DEFAULT_STEPS,
                        help="integration steps per period")
 
     p_sweep = sub.add_parser("sweep", help="grid scan a quantity, optionally contour it")
@@ -183,14 +183,10 @@ def _cmd_classify(args) -> None:
 
 def _cmd_simulate(args) -> None:
     p = _load_params(args)
-    if args.horizon <= 0:
-        raise _UsageError(f"--horizon must be positive, got {args.horizon:g}")
-    if args.h <= 0:
-        raise _UsageError(f"--h must be positive, got {args.h:g}")
     s0 = _parse_state(args.s0, p, VegState(0.1 * p.K_T, 0.05 * p.K_T, 0.5 * p.K_G))
     try:
         traj = simulate(p, s0, horizon=args.horizon, h=args.h, scheme=args.scheme)
-    except ValueError as exc:       # above the sample cap (NaN included)
+    except ValueError as exc:       # a bad horizon or step, or above the sample cap
         raise _UsageError(str(exc)) from None
     out = _echo_block(p)
     out += f"# scheme = {traj.scheme}, h_requested = {traj.h_requested:.17g}, " \
@@ -203,7 +199,7 @@ def _cmd_floquet(args) -> None:
     p = _load_params(args)
     if args.steps < 1:
         raise _UsageError(f"--steps must be at least 1, got {args.steps}")
-    guess = _parse_state(args.guess, p, VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G))
+    guess = _parse_state(args.guess, p, None)      # None: floquet_report's default
     rep = floquet_report(p, guess, n=args.steps)
     out = _echo_block(p)
     out += f"# residual = {rep.residual:.17g}, boundary = {rep.boundary or 'interior'}\n"
@@ -234,6 +230,8 @@ def _parse_axes(spec: str) -> tuple[AxisSpec, AxisSpec]:
 
 
 def _cmd_sweep(args) -> None:
+    if args.curves and args.level is None:
+        raise _UsageError("--curves needs --level")
     p = _load_params(args)
     axis1, axis2 = _parse_axes(args.axes)
     try:

@@ -12,13 +12,18 @@ state update is the period map's, bit for bit.
 fire) by fixed-point iteration until the residual is below
 ``1e-4 * max(K_T, K_G)`` and the contraction ratio has settled, then by
 damped Newton steps, each from one variational pass.  The tight switch keeps
-Newton from jumping to a neighbouring orbit.
+Newton from jumping to a neighbouring orbit.  The period map runs the same
+float kernels as the variational pass, and every point gets at most one
+pass: the located orbit carries the pass at its anchor, which is the last
+Newton pass when a Newton step converged.  Parameters and the step count
+are checked once, at the public entry points.
 
-The spectral radius of the monodromy decides local stability of the orbit
-that ``floquet_report`` locates.  The analytic grassland multipliers are a
-separate cross-check: they exponentiate the period-averaged Jacobian, exact
-only for commuting families, so ``grassland_agreement`` compares their
-verdict with the variational monodromy's.
+The spectral radius of the monodromy that the located orbit carries decides
+local stability of the orbit that ``floquet_report`` locates.  The analytic
+grassland multipliers are a separate cross-check: they exponentiate the
+period-averaged Jacobian, exact only for commuting families, so
+``grassland_agreement`` compares their verdict with the variational
+monodromy's.
 """
 
 from __future__ import annotations
@@ -151,14 +156,19 @@ class MonodromyResult:
     trace_integral: float         # integral of trace DF over one period
 
 
-def monodromy_full(p: ModelParams, anchor: VegState,
-                   n: int = DEFAULT_STEPS) -> MonodromyResult:
-    require_valid(p)
-    _require_steps(n)
+def _monodromy(p: ModelParams, anchor: VegState, n: int) -> MonodromyResult:
+    """One variational pass, for callers that have checked ``p`` and ``n``."""
     pre, phi, q = _flow_variational(p, anchor, n)
     m = jump_jacobian(pre, p) @ phi
     return MonodromyResult(matrix=m, pre_fire_state=pre, fundamental=phi,
                            trace_integral=q)
+
+
+def monodromy_full(p: ModelParams, anchor: VegState,
+                   n: int = DEFAULT_STEPS) -> MonodromyResult:
+    require_valid(p)
+    _require_steps(n)
+    return _monodromy(p, anchor, n)
 
 
 def monodromy(p: ModelParams, anchor: VegState, n: int = DEFAULT_STEPS) -> np.ndarray:
@@ -194,6 +204,7 @@ class OrbitResult:
     newton_iterations: int        # Newton steps, one variational pass each
     boundary: str | None          # "desert"/"forest"/"grassland" if not interior
     clamped: int                  # Newton steps that zeroed a negative component
+    monodromy: MonodromyResult    # the variational pass at ``anchor``
 
     @property
     def interior(self) -> bool:
@@ -201,7 +212,7 @@ class OrbitResult:
 
 
 def _period_map(p: ModelParams, x: np.ndarray, n: int) -> np.ndarray:
-    ts, tns, g = x
+    ts, tns, g = x.tolist()       # plain floats, as in the variational pass
     h = p.tau / n
     for _ in range(n):
         ts, tns, g = _rk4_step(ts, tns, g, p, h)
@@ -211,9 +222,12 @@ def _period_map(p: ModelParams, x: np.ndarray, n: int) -> np.ndarray:
     return np.array([ts, tns, g])
 
 
-def _boundary_label(x: np.ndarray, p: ModelParams, rel: float = 1e-6) -> str | None:
-    tree_zero = x[0] < rel * p.K_T and x[1] < rel * p.K_T
-    grass_zero = x[2] < rel * p.K_G
+_BOUNDARY_REL = 1e-6                # a component below this share of its capacity is 0
+
+
+def _boundary_label(x: np.ndarray, p: ModelParams) -> str | None:
+    tree_zero = x[0] < _BOUNDARY_REL * p.K_T and x[1] < _BOUNDARY_REL * p.K_T
+    grass_zero = x[2] < _BOUNDARY_REL * p.K_G
     if tree_zero and grass_zero:
         return "desert"
     if tree_zero:
@@ -234,7 +248,7 @@ def locate_savanna_orbit(p: ModelParams, guess: VegState, tol: float = 1e-10,
     ``r_k < 1``), or, as before, it stalls (``res_k > 0.95 res_{k-1}`` after
     ten steps with ``res_k < 1e-2``).  Damped Newton steps on
     ``P(x) - x = 0`` then finish the location, each taking ``P(x)`` and
-    ``M`` from one ``monodromy_full`` pass and solving with ``I - M``.  If a
+    ``M`` from one variational pass and solving with ``I - M``.  If a
     Newton residual does not shrink, or ``I - M`` is singular, the iteration
     goes back to a plain fixed-point step from the last accepted point and
     must settle again before the next Newton step.  A looser switch lets
@@ -243,6 +257,12 @@ def locate_savanna_orbit(p: ModelParams, guess: VegState, tol: float = 1e-10,
     counted in ``clamped``.  Convergence to a boundary solution is reported
     by name, not as an error; ``iterations`` and ``newton_iterations`` stop
     at ``max_iter`` each.
+
+    ``monodromy`` holds the variational pass at the anchor.  When a Newton
+    step converged it is that step's pass; otherwise (convergence in the
+    fixed-point phase, or none) one more pass runs at the anchor.  The
+    parameters are validated once, by ``compute_thresholds``, and no pass
+    validates them again.
     """
     rep = compute_thresholds(p)
     _require_steps(n)
@@ -259,15 +279,17 @@ def locate_savanna_orbit(p: ModelParams, guess: VegState, tol: float = 1e-10,
     prev_residual = ratio = math.nan      # no history yet: every test is False
     iterations = newton_used = clamped = 0
     newton = False
+    at_anchor = None                      # the variational pass at the anchor
     while iterations < max_iter and newton_used < max_iter:
         if newton:
             newton_used += 1
-            full = monodromy_full(p, VegState.from_array(x), n)
+            full = _monodromy(p, VegState.from_array(x), n)
             pre = full.pre_fire_state
             px = np.array(_impulse(pre.t_s, pre.t_ns, pre.g, p))
             step_residual = float(np.linalg.norm(px - x))
             if step_residual < tol:
-                residual = step_residual
+                # x has no negative component, so it is the anchor
+                residual, at_anchor = step_residual, full
                 break
             if step_residual >= residual:
                 x, newton = fallback, False
@@ -302,14 +324,18 @@ def locate_savanna_orbit(p: ModelParams, guess: VegState, tol: float = 1e-10,
             # the last fixed-point step is the fallback of the first Newton step
             newton, fallback = True, x
     x = np.maximum(x, 0.0)
+    anchor = VegState.from_array(x)
+    if at_anchor is None:
+        at_anchor = _monodromy(p, anchor, n)
     return OrbitResult(
-        anchor=VegState.from_array(x),
+        anchor=anchor,
         converged=residual < tol,
         residual=residual,
         iterations=iterations,
         newton_iterations=newton_used,
         boundary=_boundary_label(x, p),
         clamped=clamped,
+        monodromy=at_anchor,
     )
 
 
@@ -379,7 +405,7 @@ class FloquetReport:
     )
 
     def to_csv(self) -> str:
-        mods = sorted((abs(z) for z in self.multipliers), reverse=True)
+        mods = [abs(z) for z in self.multipliers]      # descending already
         vals = [self.anchor.t_s, self.anchor.t_ns, self.anchor.g]
         vals += [self.monodromy[i, j] for i in range(3) for j in range(3)]
         vals += mods + [self.rho_tg]
@@ -401,7 +427,7 @@ def floquet_report(p: ModelParams, guess: VegState | None = None,
     if guess is None:
         guess = VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G)
     orbit = locate_savanna_orbit(p, guess, n=n)
-    m = monodromy(p, orbit.anchor, n)
+    m = orbit.monodromy.matrix
     eigs = cubic_eigenvalues(m)
     rho = float(np.max(np.abs(eigs)))
     diagnostics = {

@@ -82,8 +82,6 @@ class ModelParams:
             if key in changes:
                 fire_changes[key] = changes.pop(key)
         if fire_changes:
-            if "alpha" in fire_changes:
-                fire_changes["alpha"] = int(fire_changes["alpha"])
             changes["fire"] = replace(self.fire, **fire_changes)
         return replace(self, **changes)
 
@@ -205,9 +203,6 @@ def _jacobian(ts: float, tns: float, g: float, p: ModelParams):
 
 def vector_field(s: VegState, p: ModelParams) -> np.ndarray:
     """Time derivative of the flow at state ``s``."""
-    for v in (s.t_s, s.t_ns, s.g):
-        if not math.isfinite(v):
-            raise ValueError("state must be finite")
     return np.array(_rhs(s.t_s, s.t_ns, s.g, p), dtype=float)
 
 
@@ -405,7 +400,7 @@ def parse_params_text(text: str) -> ModelParams:
     if "g0" in values:
         fire_kwargs["g0"] = values.pop("g0")
     if "alpha" in values:
-        fire_kwargs["alpha"] = int(values.pop("alpha"))
+        fire_kwargs["alpha"] = values.pop("alpha")
     fire = None
     if fire_kwargs:
         fire_kwargs.setdefault("g0", values["K_G"] / 2.0)

@@ -146,6 +146,21 @@ def test_sweep_case_grid_and_level_misuse(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_curves_without_level_is_usage_error(tmp_path, capsys, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a grid was computed")
+    monkeypatch.setattr(savanna.cli, "scan", no_scan)
+    grid, curve = tmp_path / "grid.csv", tmp_path / "curve.csv"
+    code, out, err = run(capsys, "sweep", "--region", "1",
+                         "--axes", "eta_G:0.1:0.87:5,sigma_NS:-0.029:-0.0155:5",
+                         "--quantity", "rho_t_g", "--output", str(grid),
+                         "--curves", str(curve))
+    assert code == 1
+    assert "usage error" in err and "--level" in err
+    assert out == ""
+    assert not grid.exists() and not curve.exists()
+
+
 def test_numerical_failure_exits_3(capsys):
     code, _, err = run(capsys, "simulate", "--region", "1",
                        "--set", "gamma_S=80", "--set", "gamma_NS=90",

@@ -24,7 +24,7 @@ from savanna import (
     simulate,
     vector_field,
 )
-from savanna import floquet
+from savanna import floquet, integrate, model, thresholds
 from savanna.floquet import _period_map
 from savanna.thresholds import ThresholdError
 from draws import draw_region_params, draw_state_in_omega, draw_valid_params
@@ -480,23 +480,70 @@ def test_floquet_report_csv_and_verdict():
 
 
 def test_floquet_report_analyses_only_the_located_orbit(monkeypatch):
-    # one variational pass per Newton step plus one at the anchor, one
-    # closed-form evaluation; the grassland cross-check is not run
+    # an orbit that converges in a Newton step takes one variational pass
+    # per Newton step and none more: the report reads the last one.  The
+    # parameters are validated once and the closed forms evaluated once; the
+    # grassland cross-check is not run
     calls = Counter()
 
-    def counted(name):
-        fn = getattr(floquet, name)
+    def counted(module, name):
+        fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
-        monkeypatch.setattr(floquet, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    counted("monodromy_full")
-    counted("compute_thresholds")
+    counted(floquet, "_flow_variational")
+    counted(floquet, "compute_thresholds")
+    for module in (model, thresholds, integrate, floquet):
+        counted(module, "require_valid")      # every binding of the one check
     p = r1(gamma_S=0.01, gamma_NS=0.01)
     rep = floquet_report(p, n=64)
     assert rep.boundary == "grassland"
-    assert calls["monodromy_full"] == 1 + rep.diagnostics["newton_iterations"]
+    assert rep.diagnostics["converged"] and rep.diagnostics["newton_iterations"] >= 1
+    assert calls["_flow_variational"] == rep.diagnostics["newton_iterations"]
+    assert calls["require_valid"] == 1
     assert calls["compute_thresholds"] == 1
     assert grassland_agreement(p, 64)["xi3"] == grassland_multipliers_analytic(p)[2]
+
+
+def _orbit_cases():
+    # case -> (params, guess, n, max_iter, converged, Newton steps taken)
+    cases = {}
+    for region in (1, 2, 3):
+        p = region_preset(region).params
+        guess = VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G)
+        for n in (16, 64):
+            cases[f"region {region}, n={n}"] = (p, guess, n, 600, True, True)
+    p = region_preset(3).params
+    # from the grassland anchor, three fixed-point steps converge
+    cases["no Newton step"] = (
+        p, VegState(0.0, 0.0, (1.0 - p.eta_G) * grassland_orbit_end(p)), 64, 600,
+        True, False)
+    cases["unconverged"] = (
+        p, VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G), 64, 3, False, False)
+    # floquet_orbits seed 1, group 13, command 2: 600 fixed-point steps, and
+    # its 17 Newton steps are rejected, so the last pass is not at the anchor
+    p = p.replace(
+        tau=0.7021465670802941, K_T=115.28858421398968, K_G=14.299699772256119,
+        gamma_G=4.335380712856412, gamma_S=2.0927137926289054,
+        gamma_NS=2.559679322901968, mu_NS=0.030212560699296516,
+        sigma_NS=0.07321193445823004, mu_S=0.05222608329566198,
+        omega_S=0.09628174041382045, mu_G=0.14743538678765608,
+        eta_S=0.40923193769294175, eta_G=0.25705307196350824)
+    cases["unconverged after Newton steps"] = (
+        p, VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G), 64, 600, False, True)
+    return cases
+
+
+ORBIT_CASES = _orbit_cases()
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_located_orbit_carries_the_monodromy_at_its_anchor(case):
+    p, guess, n, max_iter, converged, newton = ORBIT_CASES[case]
+    orbit = locate_savanna_orbit(p, guess, n=n, max_iter=max_iter)
+    assert (orbit.converged, orbit.newton_iterations > 0) == (converged, newton)
+    assert np.array_equal(orbit.monodromy.matrix, monodromy(p, orbit.anchor, n))
+    assert orbit.monodromy.pre_fire_state == monodromy_full(p, orbit.anchor, n).pre_fire_state

@@ -265,3 +265,10 @@ def test_model_params_replace_handles_fire_keys():
     assert q.sigma_G == 0.5
     # fire settings are sticky under K_G changes
     assert p.replace(K_G=9.0).fire.g0 == p.fire.g0
+
+
+def test_model_params_replace_leaves_alpha_to_the_fire_type():
+    p = region_preset(1).params
+    with pytest.raises(ParameterError, match="alpha"):
+        p.replace(alpha=2.7)
+    assert p.replace(alpha=3).fire == FireIntensityParams(p.fire.g0, 3)
