@@ -2,7 +2,8 @@
 
 Subcommands: ``classify``, ``simulate``, ``floquet``, ``sweep``, ``presets``.
 Parameters come from a region preset (``--region``) or a flat key=value file
-(``--params``); ``--set key=value`` overrides apply afterwards, last wins.
+(``--params``); ``--set key=value`` overrides replace their values, last wins,
+before the parameters are built and checked, so they can repair a bad file.
 Every output starts with the effective parameter set as ``#`` comment lines
 so runs are reproducible from their own artifacts.
 
@@ -21,12 +22,12 @@ from .model import (
     PARAM_KEYS,
     ParameterError,
     VegState,
+    _param_values,
+    _params_from_values,
     dump_params_text,
-    load_params_file,
     region_preset,
-    validate,
 )
-from .thresholds import ThresholdError, compute_thresholds, critical_values
+from .thresholds import CRITICAL_FIELDS, ThresholdError, compute_thresholds, critical_values
 from .integrate import simulate
 from .floquet import DEFAULT_STEPS, floquet_report
 from .sweep import AxisSpec, DEFAULT_GRID_N, level_curve, scan
@@ -119,18 +120,14 @@ def _load_params(args) -> ModelParams:
     if getattr(args, "region", None) is not None and getattr(args, "params", None):
         raise _UsageError("give exactly one of --region and --params")
     if getattr(args, "region", None) is not None:
-        p = region_preset(args.region).params
+        values = region_preset(args.region).params.flat()
     elif getattr(args, "params", None):
-        p = load_params_file(args.params)
+        with open(args.params, "r", encoding="utf-8") as fh:
+            values = _param_values(fh.read())
     else:
         raise _UsageError("one of --region or --params is required")
-    overrides = _parse_overrides(args.overrides)
-    if overrides:
-        p = p.replace(**overrides)
-    rep = validate(p)
-    if not rep.ok:
-        raise ParameterError("; ".join(rep.errors))
-    return p
+    values.update(_parse_overrides(args.overrides))
+    return _params_from_values(values)
 
 
 def _echo_block(p: ModelParams) -> str:
@@ -168,9 +165,8 @@ def _cmd_classify(args) -> None:
     out = _echo_block(p)
     if args.csv:
         out += rep.to_csv()
-        fields = ("sigma_g_star", "sigma_ns_star", "tau_star")
-        vals = [getattr(cv, f) for f in fields]
-        out += ",".join(fields) + "\n"
+        vals = [getattr(cv, f) for f in CRITICAL_FIELDS]
+        out += ",".join(CRITICAL_FIELDS) + "\n"
         out += ",".join("undefined" if v is None else f"{v:.17g}" for v in vals) + "\n"
     else:
         out += rep.to_text()

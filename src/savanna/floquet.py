@@ -15,8 +15,8 @@ damped Newton steps, each from one variational pass.  The tight switch keeps
 Newton from jumping to a neighbouring orbit.  The period map runs the same
 float kernels as the variational pass, and every point gets at most one
 pass: the located orbit carries the pass at its anchor, which is the last
-Newton pass when a Newton step converged.  Parameters and the step count
-are checked once, at the public entry points.
+Newton pass when a Newton step converged.  A ``ModelParams`` is checked
+when it is built; the public entry points check only the step count.
 
 The spectral radius of the monodromy that the located orbit carries decides
 local stability of the orbit that ``floquet_report`` locates.  The analytic
@@ -44,7 +44,6 @@ from .model import (
     _rhs,
     fire_intensity,
     fire_intensity_slope,
-    require_valid,
 )
 from .integrate import _rk4_step
 from .thresholds import compute_thresholds, grassland_orbit_end
@@ -56,6 +55,7 @@ __all__ = [
 ]
 
 DEFAULT_STEPS = 2048
+_ORBIT_TOL = 1e-10        # period-map residual at which an orbit is located
 
 
 def _require_steps(n: int) -> None:
@@ -156,19 +156,15 @@ class MonodromyResult:
     trace_integral: float         # integral of trace DF over one period
 
 
-def _monodromy(p: ModelParams, anchor: VegState, n: int) -> MonodromyResult:
-    """One variational pass, for callers that have checked ``p`` and ``n``."""
+def monodromy_full(p: ModelParams, anchor: VegState,
+                   n: int = DEFAULT_STEPS) -> MonodromyResult:
+    """One variational pass from ``anchor``: the monodromy with the pre-fire
+    state, ``Phi(tau)`` and the trace integral it came from."""
+    _require_steps(n)
     pre, phi, q = _flow_variational(p, anchor, n)
     m = jump_jacobian(pre, p) @ phi
     return MonodromyResult(matrix=m, pre_fire_state=pre, fundamental=phi,
                            trace_integral=q)
-
-
-def monodromy_full(p: ModelParams, anchor: VegState,
-                   n: int = DEFAULT_STEPS) -> MonodromyResult:
-    require_valid(p)
-    _require_steps(n)
-    return _monodromy(p, anchor, n)
 
 
 def monodromy(p: ModelParams, anchor: VegState, n: int = DEFAULT_STEPS) -> np.ndarray:
@@ -237,8 +233,8 @@ def _boundary_label(x: np.ndarray, p: ModelParams) -> str | None:
     return None
 
 
-def locate_savanna_orbit(p: ModelParams, guess: VegState, tol: float = 1e-10,
-                         max_iter: int = 600, n: int = DEFAULT_STEPS) -> OrbitResult:
+def locate_savanna_orbit(p: ModelParams, guess: VegState, *, max_iter: int = 600,
+                         n: int = DEFAULT_STEPS) -> OrbitResult:
     """Find a fixed point of the period map (flow over one period, then fire).
 
     Fixed-point iteration runs until it is in the basin of the fixed point it
@@ -255,14 +251,13 @@ def locate_savanna_orbit(p: ModelParams, guess: VegState, tol: float = 1e-10,
     Newton jump to a neighbouring orbit (a forest instead of a grassland
     orbit, say).  Negative components of a Newton step are set to zero and
     counted in ``clamped``.  Convergence to a boundary solution is reported
-    by name, not as an error; ``iterations`` and ``newton_iterations`` stop
-    at ``max_iter`` each.
+    by name, not as an error.  The orbit is located when the residual is
+    below ``_ORBIT_TOL`` (1e-10); ``iterations`` and ``newton_iterations``
+    stop at ``max_iter`` each.
 
     ``monodromy`` holds the variational pass at the anchor.  When a Newton
     step converged it is that step's pass; otherwise (convergence in the
-    fixed-point phase, or none) one more pass runs at the anchor.  The
-    parameters are validated once, by ``compute_thresholds``, and no pass
-    validates them again.
+    fixed-point phase, or none) one more pass runs at the anchor.
     """
     rep = compute_thresholds(p)
     _require_steps(n)
@@ -283,11 +278,11 @@ def locate_savanna_orbit(p: ModelParams, guess: VegState, tol: float = 1e-10,
     while iterations < max_iter and newton_used < max_iter:
         if newton:
             newton_used += 1
-            full = _monodromy(p, VegState.from_array(x), n)
+            full = monodromy_full(p, VegState.from_array(x), n)
             pre = full.pre_fire_state
             px = np.array(_impulse(pre.t_s, pre.t_ns, pre.g, p))
             step_residual = float(np.linalg.norm(px - x))
-            if step_residual < tol:
+            if step_residual < _ORBIT_TOL:
                 # x has no negative component, so it is the anchor
                 residual, at_anchor = step_residual, full
                 break
@@ -314,7 +309,7 @@ def locate_savanna_orbit(p: ModelParams, guess: VegState, tol: float = 1e-10,
         iterations += 1
         residual = float(np.linalg.norm(px - x))
         x = px
-        if residual < tol:
+        if residual < _ORBIT_TOL:
             break
         prev_ratio, ratio = ratio, residual / prev_residual if prev_residual else math.nan
         settled = ratio < 1.0 and abs(ratio - prev_ratio) < 0.05
@@ -326,10 +321,10 @@ def locate_savanna_orbit(p: ModelParams, guess: VegState, tol: float = 1e-10,
     x = np.maximum(x, 0.0)
     anchor = VegState.from_array(x)
     if at_anchor is None:
-        at_anchor = _monodromy(p, anchor, n)
+        at_anchor = monodromy_full(p, anchor, n)
     return OrbitResult(
         anchor=anchor,
-        converged=residual < tol,
+        converged=residual < _ORBIT_TOL,
         residual=residual,
         iterations=iterations,
         newton_iterations=newton_used,

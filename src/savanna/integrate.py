@@ -36,7 +36,6 @@ from .model import (
     VegState,
     _impulse,
     _rhs,
-    require_valid,
 )
 
 __all__ = [
@@ -107,6 +106,14 @@ def _rk4_step(ts: float, tns: float, g: float, p: ModelParams, h: float):
         tns + sixth * (b1 + 2.0 * (b2 + b3) + b4),
         g + sixth * (c1 + 2.0 * (c2 + c3) + c4),
     )
+
+
+def _stepper(p: ModelParams, scheme: str, h: float):
+    """``scheme``'s update on plain floats for the fixed step ``h``."""
+    if scheme == "reference":
+        return lambda ts, tns, g: _rk4_step(ts, tns, g, p, h)
+    d = denominators(p, h)
+    return lambda ts, tns, g: _nsfd_step(ts, tns, g, p, d.phi, d.phi_g)
 
 
 def reference_step(s: VegState, p: ModelParams, h: float) -> VegState:
@@ -182,7 +189,6 @@ def simulate(p: ModelParams, s0: VegState, horizon: float, h: float,
     are grid nodes; the effective step is recorded on the trajectory.  Output
     is deterministic for identical inputs.
     """
-    require_valid(p)
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     if h <= 0:
@@ -196,17 +202,7 @@ def simulate(p: ModelParams, s0: VegState, horizon: float, h: float,
 
     m = max(1, math.ceil(p.tau / h - 1e-12))
     h_eff = p.tau / m
-    if scheme == "nsfd":
-        d = denominators(p, h_eff)
-
-        def step(ts, tns, g, hh):
-            if hh == h_eff:
-                return _nsfd_step(ts, tns, g, p, d.phi, d.phi_g)
-            dd = denominators(p, hh)
-            return _nsfd_step(ts, tns, g, p, dd.phi, dd.phi_g)
-    else:
-        def step(ts, tns, g, hh):
-            return _rk4_step(ts, tns, g, p, hh)
+    step = _stepper(p, scheme, h_eff)
 
     n_periods = int(math.floor(horizon / p.tau + 1e-9))
     remainder = horizon - n_periods * p.tau
@@ -221,7 +217,7 @@ def simulate(p: ModelParams, s0: VegState, horizon: float, h: float,
     for k in range(n_periods):
         base = k * p.tau
         for j in range(1, m + 1):
-            ts, tns, g = step(ts, tns, g, h_eff)
+            ts, tns, g = step(ts, tns, g)
             t = base + j * h_eff if j < m else (k + 1) * p.tau
             ts, tns, g = _sanitize(ts, tns, g, t, floor)
             if j < m:
@@ -237,13 +233,13 @@ def simulate(p: ModelParams, s0: VegState, horizon: float, h: float,
         base = n_periods * p.tau
         n_rem = int(math.floor(remainder / h_eff + 1e-12))
         for j in range(1, n_rem + 1):
-            ts, tns, g = step(ts, tns, g, h_eff)
+            ts, tns, g = step(ts, tns, g)
             t = base + j * h_eff
             ts, tns, g = _sanitize(ts, tns, g, t, floor)
             samples.append((t, VegState(ts, tns, g)))
         last = remainder - n_rem * h_eff
         if last > 1e-12 * p.tau:
-            ts, tns, g = step(ts, tns, g, last)
+            ts, tns, g = _stepper(p, scheme, last)(ts, tns, g)
             ts, tns, g = _sanitize(ts, tns, g, horizon, floor)
             samples.append((horizon, VegState(ts, tns, g)))
 

@@ -1,5 +1,9 @@
 """Core model: parameters, state, vector field, fire impulse and region presets.
 
+Parameters are valid by construction: building a ``ModelParams`` (directly,
+by ``replace`` or by the file parser) runs ``require_valid``, the one check of
+its hard invariants, so no other layer checks them.
+
 The system tracks three biomass compartments (t per hectare): fire-sensitive
 trees ``T_S``, non-sensitive trees ``T_NS`` and grass ``G``.  Between fires the
 state follows a smooth competition flow; every ``tau`` years a fire instantly
@@ -69,6 +73,7 @@ class ModelParams:
         if self.fire is None:
             # half saturation at half the grass capacity unless configured
             object.__setattr__(self, "fire", FireIntensityParams(g0=self.K_G / 2.0))
+        require_valid(self)         # the one check of a parameter set
 
     def replace(self, **changes) -> "ModelParams":
         """Copy with updates; accepts core field names plus ``g0``/``alpha``.
@@ -366,11 +371,12 @@ def region_preset(region: int) -> RegionPreset:
 # parameter files: one `key = value` per line, `#` starts a comment
 # ---------------------------------------------------------------------------
 
-def parse_params_text(text: str) -> ModelParams:
-    """Parse the flat parameter-file format.  Unknown keys are errors.
+def _param_values(text: str) -> dict[str, float]:
+    """Read the flat parameter-file format into a value for every key in
+    ``PARAM_KEYS``, without building parameters.  Unknown keys are errors.
 
-    ``g0`` and ``alpha`` are optional (defaults: K_G/2 and 2); all other keys
-    are required.
+    ``g0`` and ``alpha`` are optional (defaults: the file's K_G/2 and 2); all
+    other keys are required.
     """
     values: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -395,17 +401,20 @@ def parse_params_text(text: str) -> ModelParams:
     missing = [k for k in required if k not in values]
     if missing:
         raise ParameterError(f"missing keys: {', '.join(missing)}")
+    values.setdefault("g0", values["K_G"] / 2.0)
+    values.setdefault("alpha", 2)
+    return values
 
-    fire_kwargs = {}
-    if "g0" in values:
-        fire_kwargs["g0"] = values.pop("g0")
-    if "alpha" in values:
-        fire_kwargs["alpha"] = values.pop("alpha")
-    fire = None
-    if fire_kwargs:
-        fire_kwargs.setdefault("g0", values["K_G"] / 2.0)
-        fire = FireIntensityParams(**fire_kwargs)
-    return ModelParams(fire=fire, **values)
+
+def _params_from_values(values: dict[str, float]) -> ModelParams:
+    """The inverse of ``ModelParams.flat``: one value per ``PARAM_KEYS`` key."""
+    core = {k: v for k, v in values.items() if k not in ("g0", "alpha")}
+    return ModelParams(fire=FireIntensityParams(values["g0"], values["alpha"]), **core)
+
+
+def parse_params_text(text: str) -> ModelParams:
+    """Parse the flat parameter-file format (see ``_param_values``)."""
+    return _params_from_values(_param_values(text))
 
 
 def load_params_file(path) -> ModelParams:
@@ -413,11 +422,11 @@ def load_params_file(path) -> ModelParams:
         return parse_params_text(fh.read())
 
 
-def dump_params_text(p: ModelParams, digits: int = 17) -> str:
+def dump_params_text(p: ModelParams) -> str:
     """Serialize in file-format key order (round-trips through the parser)."""
     flat = p.flat()
     lines = []
     for key in PARAM_KEYS:
         v = flat[key]
-        lines.append(f"{key} = {v:d}" if key == "alpha" else f"{key} = {v:.{digits}g}")
+        lines.append(f"{key} = {v:d}" if key == "alpha" else f"{key} = {v:.17g}")
     return "\n".join(lines) + "\n"

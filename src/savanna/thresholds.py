@@ -57,7 +57,6 @@ from .model import (
     NumericalError,
     ParameterError,
     VegState,
-    require_valid,
 )
 
 DEGENERATE_TOL = 1e-9
@@ -419,12 +418,11 @@ def _closed_forms(**params) -> _Cells:
 
 
 def _one_cell(p: ModelParams) -> _Cells:
-    """The kernel on one validated parameter set.
+    """The kernel on one parameter set.
 
     Raises NumericalError, naming the closed form, where float evaluation
     fails (an overflow the scalar ``math`` call would raise).
     """
-    require_valid(p)
     cells = _closed_forms(**p.flat())
     _raise_failure(cells.fails)
     return cells
@@ -452,9 +450,8 @@ def compute_thresholds(p: ModelParams) -> ThresholdReport:
     regimes where the underlying solution does not exist (the existence flags
     say so); quantities whose defining equilibrium is absent (``r_t_g``,
     ``rho_t_g`` without a forest) are None.  This is ``_closed_forms`` on
-    one cell.  Raises ParameterError for invalid parameters and
-    NumericalError where a closed form overflows (for instance
-    ``exp((gamma_G - mu_G) * tau)`` for a very long fire period).
+    one cell.  Raises NumericalError where a closed form overflows (for
+    instance ``exp((gamma_G - mu_G) * tau)`` for a very long fire period).
     """
     cells = _one_cell(p)
     v = cells.values

@@ -65,6 +65,24 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     assert run(capsys, "classify", "--region", "1", "--set", "nope=1")[0] == 2
 
 
+def test_set_repairs_an_invalid_params_file(tmp_path, capsys):
+    # the file's values, then the overrides, and only then one checked build
+    flat = region_preset(2).params.flat()
+    bad = tmp_path / "bad.params"
+    bad.write_text("".join(f"{k} = {v!r}\n" for k, v in {**flat, "eta_G": 1.5}.items()))
+    code, _, err = run(capsys, "classify", "--params", str(bad))
+    assert code == 2 and "eta_G must lie in [0, 1), got 1.5" in err
+    code, out, _ = run(capsys, "classify", "--params", str(bad), "--set", "eta_G=0.6")
+    assert code == 0
+    assert out == run(capsys, "classify", "--region", "2")[1]
+    # without a g0 line, g0 is half the file's K_G, whatever K_G --set gives
+    no_g0 = tmp_path / "no_g0.params"
+    no_g0.write_text("".join(f"{k} = {v!r}\n" for k, v in flat.items() if k != "g0"))
+    code, out, _ = run(capsys, "classify", "--params", str(no_g0), "--set", "K_G=9")
+    assert code == 0
+    assert "# K_G = 9\n" in out and f"# g0 = {flat['K_G'] / 2:.17g}\n" in out
+
+
 def test_params_file_round_trip(tmp_path, capsys):
     f = tmp_path / "r2.params"
     f.write_text(dump_params_text(region_preset(2).params))

@@ -482,8 +482,10 @@ def test_floquet_report_csv_and_verdict():
 def test_floquet_report_analyses_only_the_located_orbit(monkeypatch):
     # an orbit that converges in a Newton step takes one variational pass
     # per Newton step and none more: the report reads the last one.  The
-    # parameters are validated once and the closed forms evaluated once; the
-    # grassland cross-check is not run
+    # parameters were checked when they were built, so the report checks
+    # nothing; the closed forms are evaluated once and the grassland
+    # cross-check is not run
+    p = r1(gamma_S=0.01, gamma_NS=0.01)
     calls = Counter()
 
     def counted(module, name):
@@ -497,14 +499,17 @@ def test_floquet_report_analyses_only_the_located_orbit(monkeypatch):
     counted(floquet, "_flow_variational")
     counted(floquet, "compute_thresholds")
     for module in (model, thresholds, integrate, floquet):
-        counted(module, "require_valid")      # every binding of the one check
-    p = r1(gamma_S=0.01, gamma_NS=0.01)
+        for name in ("require_valid", "validate"):
+            if hasattr(module, name):
+                counted(module, name)         # every binding of the check
     rep = floquet_report(p, n=64)
     assert rep.boundary == "grassland"
     assert rep.diagnostics["converged"] and rep.diagnostics["newton_iterations"] >= 1
     assert calls["_flow_variational"] == rep.diagnostics["newton_iterations"]
-    assert calls["require_valid"] == 1
+    assert calls["require_valid"] == calls["validate"] == 0
     assert calls["compute_thresholds"] == 1
+    r1(gamma_S=0.02)                # the counters see its two builds (preset, replace)
+    assert calls["require_valid"] == calls["validate"] == 2
     assert grassland_agreement(p, 64)["xi3"] == grassland_multipliers_analytic(p)[2]
 
 

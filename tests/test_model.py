@@ -1,10 +1,12 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from savanna import (
     FireIntensityParams,
+    ModelParams,
     ParameterError,
     VegState,
     dump_params_text,
@@ -175,12 +177,42 @@ def test_validate_accepts_presets():
 
 
 def test_validate_lists_every_violation():
-    p = region_preset(1).params.replace(mu_NS=0.0, eta_G=1.0, gamma_S=-0.1)
-    rep = validate(p)
-    assert not rep.ok
-    text = " ".join(rep.errors)
+    with pytest.raises(ParameterError) as err:
+        region_preset(1).params.replace(mu_NS=0.0, eta_G=1.0, gamma_S=-0.1)
+    text = str(err.value)
     assert "mu_NS" in text and "eta_G" in text and "gamma_S" in text
-    assert len(rep.errors) >= 3
+    assert len(text.split("; ")) >= 3
+
+
+def _unchecked(p, **changes):
+    """``p`` with ``changes`` applied and no check: what ``validate`` reads."""
+    q = object.__new__(ModelParams)
+    for f in fields(ModelParams):
+        object.__setattr__(q, f.name, changes.get(f.name, getattr(p, f.name)))
+    return q
+
+
+# one violation per row of the invariant table, then non-finite values
+@pytest.mark.parametrize("changes,message", [
+    ({"gamma_S": -0.1}, "gamma_S must be nonnegative, got -0.1"),
+    ({"tau": 0.0}, "tau must be positive, got 0.0"),
+    ({"eta_S": 1.5}, "eta_S must lie in [0, 1], got 1.5"),
+    ({"eta_G": 1.0}, "eta_G must lie in [0, 1), got 1.0"),
+    ({"mu_G": math.nan, "K_T": math.inf},
+     "mu_G must be finite, got nan; K_T must be finite, got inf"),
+])
+def test_every_construction_checks_the_invariants(changes, message):
+    p = region_preset(1).params
+    assert "; ".join(validate(_unchecked(p, **changes)).errors) == message
+    flat = {**p.flat(), **changes}
+    core = {k: v for k, v in flat.items() if k not in ("g0", "alpha")}
+    text = "".join(f"{k} = {v!r}\n" for k, v in flat.items())
+    for build in (lambda: ModelParams(**core),
+                  lambda: p.replace(**changes),
+                  lambda: parse_params_text(text)):
+        with pytest.raises(ParameterError) as err:
+            build()
+        assert str(err.value) == message
 
 
 def test_validate_range_warnings_are_not_errors():

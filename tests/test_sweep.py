@@ -341,8 +341,8 @@ def _grid_cases():
     # critical values divide by it
     yield (region_preset(1).params, AxisSpec("K_T", 5e-324, 1e-322, 3),
            AxisSpec("sigma_NS", -0.02, 0.02, 3))
-    # an invalid base whose bad field is an axis
-    yield (region_preset(2).params.replace(eta_G=1.5),
+    # an axis that runs into invalid values (eta_G >= 1)
+    yield (region_preset(2).params,
            AxisSpec("tau", 2.0, 5.0, 4), AxisSpec("eta_G", 0.5, 1.1, 4))
 
 
@@ -373,12 +373,14 @@ def test_closed_form_scan_does_not_evaluate_cell_by_cell(monkeypatch):
 
     a1 = AxisSpec("eta_G", 0.1, 0.87, 41)
     a2 = AxisSpec("sigma_NS", -0.029, -0.0155, 37)
+    base = base1()
     for quantity in ("rho_t_g", "case", "tau_star"):
         calls.clear()
-        gs = scan(base1(), a1, a2, quantity)
+        gs = scan(base, a1, a2, quantity)
         assert gs.defined.any()
         assert calls["compute_thresholds"] == 0
-        assert calls["validate"] <= a1.n + a2.n + 1
-    # the counters do see one-cell evaluations
+        assert calls["validate"] == 0         # no cell builds a ModelParams
+    # the counters do see a one-cell evaluation and the two checked
+    # constructions (preset, replace) of its parameters
     savanna.compute_thresholds(base1())
-    assert calls["compute_thresholds"] == 1 and calls["validate"] == 1
+    assert calls["compute_thresholds"] == 1 and calls["validate"] == 2
