@@ -80,7 +80,9 @@ def _build_parser() -> _Parser:
     p_flo.add_argument("--guess", default=None, metavar="TS,TNS,G",
                        help="initial guess; default 0.1*K_T,0.1*K_T,0.5*K_G")
     p_flo.add_argument("--steps", type=int, default=DEFAULT_STEPS,
-                       help="integration steps per period")
+                       help="integration steps per period of the located orbit; above 16, "
+                            "the orbit is first found at 16 steps and then finished at this "
+                            "count")
 
     p_sweep = sub.add_parser("sweep", help="grid scan a quantity, optionally contour it")
     add_params_opts(p_sweep)

@@ -18,6 +18,20 @@ pass: the located orbit carries the pass at its anchor, which is the last
 Newton pass when a Newton step converged.  A ``ModelParams`` is checked
 when it is built; the public entry points check only the step count.
 
+The step counts of both phases do not depend on the steps per period ``n``,
+but each step costs time linear in ``n``.  So for ``n`` above
+``_COARSE_STEPS`` (16) the location runs twice: once at 16 steps per period
+from the guess, to find the basin, and once at ``n`` from the coarse
+anchor, which needs only a few steps.  ``max_iter`` bounds each stage, and
+the iteration counters are totals over both, so a per-period-map time
+derived from them averages 16-step and ``n``-step maps.  Where either
+stage diverges (a 16-step map can, where the ``n``-step one does not) or
+does not converge, the location runs once more, at ``n`` from the guess,
+and returns what it would return without the coarse stage, counters
+included.  The two monodromies give ``floquet_report`` a free error
+estimate of ``rho_tg``: RK4 is fourth order, so
+``|rho(16) - rho(n)| / ((n/16)^4 - 1)``.
+
 The spectral radius of the monodromy that the located orbit carries decides
 local stability of the orbit that ``floquet_report`` locates.  The analytic
 grassland multipliers are a separate cross-check: they exponentiate the
@@ -31,7 +45,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,6 +70,7 @@ __all__ = [
 
 DEFAULT_STEPS = 2048
 _ORBIT_TOL = 1e-10        # period-map residual at which an orbit is located
+_COARSE_STEPS = 16        # steps per period of the first stage of orbit location
 
 
 def _require_steps(n: int) -> None:
@@ -201,6 +216,7 @@ class OrbitResult:
     boundary: str | None          # "desert"/"forest"/"grassland" if not interior
     clamped: int                  # Newton steps that zeroed a negative component
     monodromy: MonodromyResult    # the variational pass at ``anchor``
+    coarse_monodromy: MonodromyResult | None   # the coarse stage's, if it ran
 
     @property
     def interior(self) -> bool:
@@ -237,6 +253,52 @@ def locate_savanna_orbit(p: ModelParams, guess: VegState, *, max_iter: int = 600
                          n: int = DEFAULT_STEPS) -> OrbitResult:
     """Find a fixed point of the period map (flow over one period, then fire).
 
+    For ``n`` above ``_COARSE_STEPS`` (16) the location runs in two stages:
+    ``_locate_at`` first finds the ``_COARSE_STEPS``-step fixed point from
+    ``guess``, then runs again at ``n`` from that coarse anchor, where it is
+    already in the basin and needs few steps.  The returned anchor,
+    residual, boundary and ``monodromy`` are the fine stage's, so the orbit
+    is the ``n``-step fixed point to ``_ORBIT_TOL`` as before; only the path
+    to it changes.  ``iterations``, ``newton_iterations`` and ``clamped``
+    are totals over both stages (so per-step costs averaged from them mix
+    ``_COARSE_STEPS``-step and ``n``-step maps), ``max_iter`` bounds each
+    stage on its own, and ``coarse_monodromy`` holds the coarse stage's pass
+    at its anchor.  When ``n <= _COARSE_STEPS``, or when either stage
+    diverges or does not converge (a 16-step RK4 period map can diverge
+    where the ``n``-step one does not), the result is ``_locate_at`` at
+    ``n`` from ``guess``, bit for bit, with ``coarse_monodromy`` None; its
+    counters leave out the stages that were given up.
+
+    The existence warning is issued once per call, whatever path runs.
+    """
+    rep = compute_thresholds(p)
+    _require_steps(n)
+    if not rep.savanna_existence_condition:
+        warnings.warn(
+            "savanna existence condition fails (needs rho_g0 > 1, and r_g0 > 1"
+            " when mu_G > 0); attempting orbit location anyway",
+            stacklevel=2,
+        )
+    if n > _COARSE_STEPS:
+        try:
+            coarse = _locate_at(p, guess, max_iter, _COARSE_STEPS)
+            fine = _locate_at(p, coarse.anchor, max_iter, n) if coarse.converged else None
+        except NumericalError:
+            fine = None
+        if fine is not None and fine.converged:
+            return replace(
+                fine,
+                iterations=coarse.iterations + fine.iterations,
+                newton_iterations=coarse.newton_iterations + fine.newton_iterations,
+                clamped=coarse.clamped + fine.clamped,
+                coarse_monodromy=coarse.monodromy,
+            )
+    return _locate_at(p, guess, max_iter, n)
+
+
+def _locate_at(p: ModelParams, guess: VegState, max_iter: int, n: int) -> OrbitResult:
+    """One location of the ``n``-step fixed point from ``guess``.
+
     Fixed-point iteration runs until it is in the basin of the fixed point it
     is heading for: the residual ``res_k = |P(x) - x|`` is below
     ``1e-4 * max(K_T, K_G)`` and the contraction ratio
@@ -259,15 +321,6 @@ def locate_savanna_orbit(p: ModelParams, guess: VegState, *, max_iter: int = 600
     step converged it is that step's pass; otherwise (convergence in the
     fixed-point phase, or none) one more pass runs at the anchor.
     """
-    rep = compute_thresholds(p)
-    _require_steps(n)
-    if not rep.savanna_existence_condition:
-        warnings.warn(
-            "savanna existence condition fails (needs rho_g0 > 1, and r_g0 > 1"
-            " when mu_G > 0); attempting orbit location anyway",
-            stacklevel=2,
-        )
-
     basin = 1e-4 * max(p.K_T, p.K_G)
     x = guess.as_array().astype(float)
     residual = math.inf
@@ -331,6 +384,7 @@ def locate_savanna_orbit(p: ModelParams, guess: VegState, *, max_iter: int = 600
         boundary=_boundary_label(x, p),
         clamped=clamped,
         monodromy=at_anchor,
+        coarse_monodromy=None,
     )
 
 
@@ -418,7 +472,12 @@ def floquet_report(p: ModelParams, guess: VegState | None = None,
                    n: int = DEFAULT_STEPS) -> FloquetReport:
     """Locate an orbit from ``guess`` and package its monodromy, multipliers
     and stability verdict.  Only the located orbit is analysed; the analytic
-    grassland cross-check is ``grassland_agreement``."""
+    grassland cross-check is ``grassland_agreement``.
+
+    ``diagnostics`` holds the location's counters (totals over both stages),
+    ``coarse_steps`` (``_COARSE_STEPS``, or None when the orbit was located
+    at ``n`` alone) and ``rho_tg_error``, the error estimate of ``rho_tg``
+    from the coarse stage's monodromy (None without one)."""
     if guess is None:
         guess = VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G)
     orbit = locate_savanna_orbit(p, guess, n=n)
@@ -430,7 +489,15 @@ def floquet_report(p: ModelParams, guess: VegState | None = None,
         "iterations": orbit.iterations,
         "newton_iterations": orbit.newton_iterations,
         "clamped": orbit.clamped,
+        "coarse_steps": None,
+        "rho_tg_error": None,
     }
+    if orbit.coarse_monodromy is not None:
+        # RK4 is fourth order: rho(h) = rho + C h^4, so rho(16) - rho(n) is
+        # (n/16)^4 - 1 times the error of rho(n)
+        coarse_rho = float(np.max(np.abs(np.linalg.eigvals(orbit.coarse_monodromy.matrix))))
+        diagnostics["coarse_steps"] = _COARSE_STEPS
+        diagnostics["rho_tg_error"] = abs(coarse_rho - rho) / ((n / _COARSE_STEPS) ** 4 - 1.0)
     return FloquetReport(
         anchor=orbit.anchor, monodromy=m, multipliers=eigs, rho_tg=rho,
         verdict=_verdict(rho), residual=orbit.residual, boundary=orbit.boundary,

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -25,7 +26,8 @@ from savanna import (
     vector_field,
 )
 from savanna import floquet, integrate, model, thresholds
-from savanna.floquet import _period_map
+from savanna.floquet import _locate_at, _period_map
+from savanna.model import NumericalError
 from savanna.thresholds import ThresholdError
 from draws import draw_region_params, draw_state_in_omega, draw_valid_params
 
@@ -552,3 +554,90 @@ def test_located_orbit_carries_the_monodromy_at_its_anchor(case):
     assert (orbit.converged, orbit.newton_iterations > 0) == (converged, newton)
     assert np.array_equal(orbit.monodromy.matrix, monodromy(p, orbit.anchor, n))
     assert orbit.monodromy.pre_fire_state == monodromy_full(p, orbit.anchor, n).pre_fire_state
+
+
+# ---------------------------------------------------------------------------
+# coarse-to-fine location
+# ---------------------------------------------------------------------------
+
+def _same_orbit(a, b, p):
+    tol = 3e-10 * max(p.K_T, p.K_G)
+    return (np.max(np.abs(a.anchor.as_array() - b.anchor.as_array())) < tol
+            and a.converged == b.converged and a.boundary == b.boundary)
+
+
+def test_coarse_to_fine_lands_on_the_direct_orbit():
+    # the two-stage path only changes how the n-step fixed point is reached
+    rng = np.random.default_rng(31)
+    for k in range(12):
+        p = draw_region_params(rng, k % 3 + 1, interval_only=False)
+        guess = VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            orbit = locate_savanna_orbit(p, guess, n=64)
+        direct = _locate_at(p, guess, 600, 64)
+        assert orbit.coarse_monodromy is not None, k
+        assert _same_orbit(orbit, direct, p), k
+
+
+# floquet_orbits seed 2, group 60, command 1 (region 2, tau about 4.55): the
+# 16-step RK4 period map diverges from the default guess, the 64-step one
+# does not
+DIVERGING_COARSE_CASE = dict(
+    tau=4.554134114403383, K_T=83.20945615177101, K_G=9.902020808370299,
+    gamma_G=2.082379952257611, gamma_S=0.3230083050546509,
+    gamma_NS=1.986985790746699, mu_NS=0.07420138036297327,
+    sigma_G=1.325301212915527, sigma_NS=0.027079198686182304,
+    mu_S=0.20717688635030826, omega_S=0.11562762196442036,
+    mu_G=0.06898666591129034, eta_S=0.4130853384841238,
+    eta_G=0.14508070182457597)
+
+
+def _assert_identical(a, b):
+    assert a.anchor == b.anchor
+    assert (a.converged, a.residual, a.iterations, a.newton_iterations, a.boundary,
+            a.clamped) == (b.converged, b.residual, b.iterations, b.newton_iterations,
+                           b.boundary, b.clamped)
+    assert np.array_equal(a.monodromy.matrix, b.monodromy.matrix)
+    assert a.coarse_monodromy is b.coarse_monodromy is None
+
+
+def test_a_diverging_coarse_stage_falls_back_to_the_direct_path():
+    p = region_preset(2).params.replace(**DIVERGING_COARSE_CASE)
+    guess = VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G)
+    with pytest.raises(NumericalError, match="diverged"):
+        _locate_at(p, guess, 600, 16)
+    orbit = locate_savanna_orbit(p, guess, n=64)
+    assert orbit.converged
+    _assert_identical(orbit, _locate_at(p, guess, 600, 64))
+
+
+def test_no_coarse_stage_at_or_below_its_step_count():
+    for region in (1, 2, 3):
+        p = region_preset(region).params
+        guess = VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G)
+        _assert_identical(locate_savanna_orbit(p, guess, n=16),
+                          _locate_at(p, guess, 600, 16))
+
+
+def test_existence_warning_is_issued_once_per_call():
+    p = r1(mu_G=0.9)  # r_g0 < 1
+    guess = VegState(1.0, 1.0, 1.0)
+    # max_iter=5: the coarse stage does not converge and the direct path
+    # runs after it; 600: both stages run
+    for max_iter in (5, 600):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            locate_savanna_orbit(p, guess, max_iter=max_iter, n=64)
+        assert [str(w.message).count("existence condition") for w in caught] == [1]
+
+
+@pytest.mark.parametrize("region", (1, 2, 3))
+def test_rho_tg_error_estimate_tracks_the_true_error(region):
+    p = region_preset(region).params
+    rep = floquet_report(p, n=64)
+    assert rep.diagnostics["coarse_steps"] == 16
+    true_error = abs(rep.rho_tg - floquet_report(p, n=1024).rho_tg)
+    assert 0.5 * true_error < rep.diagnostics["rho_tg_error"] < 2.0 * true_error
+    direct = floquet_report(p, n=16).diagnostics
+    assert direct["coarse_steps"] is direct["rho_tg_error"] is None

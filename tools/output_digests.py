@@ -5,6 +5,7 @@ Run from the root of a checkout:
     python3 tools/output_digests.py digests.tsv 1 2 3
     python3 tools/output_digests.py digests.tsv 1 --workloads floquet_orbits trajectory
     python3 tools/output_digests.py values.tsv 1 --workloads floquet_orbits --values
+    python3 tools/output_digests.py --compare parent.tsv change.tsv
 
 Every command that ``bench/workloads.generate`` yields at full size for the
 given seeds (all four workloads unless ``--workloads`` names some) runs, in
@@ -18,12 +19,20 @@ With ``--values`` each ``floquet`` line also ends with a JSON object of the
 values parsed from its output (``anchor``, ``rho_tg``, ``verdict``,
 ``residual``, ``boundary``), so that two checkouts whose bytes are expected
 to differ in the last digits can be compared numerically.
+
+``--compare A B`` checks two ``--values`` files line by line.  A ``floquet``
+line whose orbit converged in both (residual below 1e-10) passes when the
+anchors agree within 3e-10 * max(K_T, K_G), with K_T and K_G rebuilt from the
+command's parameters, and the boundary, verdict, exit code, level-curve and
+stdout digests and stderr are equal.  Every other line must be identical.
+Each mismatch is printed, and the exit code is 1 if there is any.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -39,6 +48,8 @@ from savanna.cli import main  # noqa: E402
 import workloads  # noqa: E402
 
 WORKLOADS = ("floquet_orbits", "threshold_sweep", "trajectory", "rho_tg_sweep")
+ANCHOR_TOL = 3e-10          # anchor agreement, as a share of max(K_T, K_G)
+CONVERGED = 1e-10           # a floquet residual below this is a located orbit
 
 
 def _sha(data: bytes | None) -> str:
@@ -85,21 +96,83 @@ def _digest(cmd, tmp: Path) -> tuple[str, bytes | None, bytes | None, str, str]:
     return code, _read(out), _read(curves), stdout.getvalue(), err
 
 
+@functools.lru_cache(maxsize=None)
+def _commands(workload: str, seed: int) -> list:
+    return workloads.generate(workload, seed, workloads.SIZES["full"])
+
+
+def _located(fields: list[str]) -> dict | None:
+    """The parsed values of a ``floquet`` line whose orbit converged, else None."""
+    values = json.loads(fields[9]) if len(fields) == 10 else None
+    return values if values and values["residual"] < CONVERGED else None
+
+
+def _anchor_gap(fields: list[str], va: dict, vb: dict) -> float:
+    """Largest anchor difference of two located orbits, over max(K_T, K_G)
+    of the command's parameters."""
+    p = _commands(fields[0], int(fields[1]))[int(fields[2])][int(fields[3])].params()
+    return max(abs(x - y) for x, y in zip(va["anchor"], vb["anchor"])) / max(p.K_T, p.K_G)
+
+
+def compare(path_a: str, path_b: str) -> int:
+    """Check two ``--values`` digest files; prints each mismatch."""
+    lines_a, lines_b = (Path(p).read_text(encoding="utf-8").splitlines()
+                        for p in (path_a, path_b))
+    if len(lines_a) != len(lines_b):
+        print(f"{len(lines_a)} lines against {len(lines_b)}")
+        return 1
+    mismatches = orbits = 0
+    worst = 0.0
+    for line_a, line_b in zip(lines_a, lines_b):
+        a, b = line_a.split("\t"), line_b.split("\t")
+        if a[:4] != b[:4]:
+            print(f"commands differ: {' '.join(a[:4])} vs {' '.join(b[:4])}")
+            return 1
+        va, vb = _located(a), _located(b)
+        why = None
+        if va is None or vb is None:
+            if a != b:
+                why = "lines differ"
+        else:
+            gap = _anchor_gap(a, va, vb)
+            orbits, worst = orbits + 1, max(worst, gap)
+            if a[:5] + a[6:9] != b[:5] + b[6:9]:      # all but the output digest
+                why = "exit code, curves, stdout or stderr differ"
+            elif (va["boundary"], va["verdict"]) != (vb["boundary"], vb["verdict"]):
+                why = f"boundary/verdict {va['boundary']}/{va['verdict']} vs " \
+                      f"{vb['boundary']}/{vb['verdict']}"
+            elif gap >= ANCHOR_TOL:
+                why = f"anchors differ by {gap:.3g} of max(K_T, K_G)"
+        if why is not None:
+            mismatches += 1
+            print(f"{' '.join(a[:4])}: {why}")
+    print(f"{len(lines_a)} lines; {orbits} converged orbits compared, worst anchor gap "
+          f"{worst:.3g} of max(K_T, K_G); {mismatches} mismatches")
+    return int(mismatches > 0)
+
+
 def main_digests(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("output", help="digest file to write")
-    parser.add_argument("seeds", nargs="+", type=int)
+    parser.add_argument("output", nargs="?", help="digest file to write")
+    parser.add_argument("seeds", nargs="*", type=int)
     parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=WORKLOADS)
     parser.add_argument("--values", action="store_true",
                         help="append the parsed values of each floquet output")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="compare two --values files instead of writing one")
     args = parser.parse_args(argv)
-    sizes = workloads.SIZES["full"]
+    if args.compare:
+        if args.output is not None:
+            parser.error("--compare takes no output file or seeds")
+        return compare(*args.compare)
+    if args.output is None or not args.seeds:
+        parser.error("an output file and at least one seed are required")
     lines = []
     with tempfile.TemporaryDirectory() as tmpdir:
         tmp = Path(tmpdir)
         for workload in args.workloads:
             for seed in args.seeds:
-                for gi, group in enumerate(workloads.generate(workload, seed, sizes)):
+                for gi, group in enumerate(_commands(workload, seed)):
                     for ci, cmd in enumerate(group):
                         code, out, curves, stdout, err = _digest(cmd, tmp)
                         fields = [workload, str(seed), str(gi), str(ci), code, _sha(out),
