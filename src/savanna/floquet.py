@@ -11,24 +11,31 @@ state update is the period map's, bit for bit.
 ``locate_savanna_orbit`` finds the fixed point of the period map (flow, then
 fire) by fixed-point iteration until the residual is below
 ``1e-4 * max(K_T, K_G)`` and the contraction ratio has settled, then by
-damped Newton steps, each from one variational pass.  The tight switch keeps
-Newton from jumping to a neighbouring orbit.  The period map runs the same
-float kernels as the variational pass, and every point gets at most one
-pass: the located orbit carries the pass at its anchor, which is the last
-Newton pass when a Newton step converged.  A ``ModelParams`` is checked
-when it is built; the public entry points check only the step count.
+Newton steps, each from one variational pass.  The tight switch keeps
+Newton from jumping to a neighbouring orbit.  The zero sets of the trees
+(``T_S = T_NS = 0``) and of the grass (``G = 0``) are invariant faces of
+the period map, and the grassland and forest orbits lie on them: a Newton
+step that would cross a face, or that starts on one the period map keeps,
+ends on it, with the rest of the step solved there (a projected Newton
+step; Bertsekas, SIAM J. Control Optim. 20, 1982), so those orbits are
+reached in a few steps and their zeros are exact.  The period map runs the
+same float kernels as the variational pass, and every point gets at most
+one pass: the located orbit carries the pass at its anchor, which is the
+last Newton pass when a Newton step converged.  A ``ModelParams`` is
+checked when it is built; the public entry points check only the step
+count.
 
 The step counts of both phases do not depend on the steps per period ``n``,
 but each step costs time linear in ``n``.  So for ``n`` above
 ``_COARSE_STEPS`` (16) the location runs twice: once at 16 steps per period
 from the guess, to find the basin, and once at ``n`` from the coarse
-anchor, which needs only a few steps.  ``max_iter`` bounds each stage, and
-the iteration counters are totals over both, so a per-period-map time
-derived from them averages 16-step and ``n``-step maps.  Where either
-stage diverges (a 16-step map can, where the ``n``-step one does not) or
-does not converge, the location runs once more, at ``n`` from the guess,
-and returns what it would return without the coarse stage, counters
-included.  The two monodromies give ``floquet_report`` a free error
+stage's last point, which needs only a few steps.  When the coarse orbit is
+unstable, fixed-point steps would leave it, so the fine stage starts with
+Newton.  ``max_iter`` bounds each stage, and the iteration counters are
+totals over both, so a per-period-map time derived from them averages
+16-step and ``n``-step maps.  Only where the 16-step map diverges (it can
+where the ``n``-step one does not) does the location run at ``n`` from the
+guess instead.  The two monodromies give ``floquet_report`` a free error
 estimate of ``rho_tg``: RK4 is fourth order, so
 ``|rho(16) - rho(n)| / ((n/16)^4 - 1)``.
 
@@ -58,6 +65,7 @@ from .model import (
     _rhs,
     fire_intensity,
     fire_intensity_slope,
+    impulse_map,
 )
 from .integrate import _rk4_step
 from .thresholds import compute_thresholds, grassland_orbit_end
@@ -214,7 +222,7 @@ class OrbitResult:
     iterations: int               # fixed-point steps, one period map each
     newton_iterations: int        # Newton steps, one variational pass each
     boundary: str | None          # "desert"/"forest"/"grassland" if not interior
-    clamped: int                  # Newton steps that zeroed a negative component
+    clamped: int                  # Newton steps that ended on a face (trees or grass at 0)
     monodromy: MonodromyResult    # the variational pass at ``anchor``
     coarse_monodromy: MonodromyResult | None   # the coarse stage's, if it ran
 
@@ -254,20 +262,23 @@ def locate_savanna_orbit(p: ModelParams, guess: VegState, *, max_iter: int = 600
     """Find a fixed point of the period map (flow over one period, then fire).
 
     For ``n`` above ``_COARSE_STEPS`` (16) the location runs in two stages:
-    ``_locate_at`` first finds the ``_COARSE_STEPS``-step fixed point from
-    ``guess``, then runs again at ``n`` from that coarse anchor, where it is
-    already in the basin and needs few steps.  The returned anchor,
-    residual, boundary and ``monodromy`` are the fine stage's, so the orbit
-    is the ``n``-step fixed point to ``_ORBIT_TOL`` as before; only the path
-    to it changes.  ``iterations``, ``newton_iterations`` and ``clamped``
-    are totals over both stages (so per-step costs averaged from them mix
+    ``_locate_at`` first heads for the ``_COARSE_STEPS``-step fixed point
+    from ``guess``, then runs again at ``n`` from the coarse stage's last
+    point, where it is already in the basin and needs few steps.  When that
+    point is a converged coarse orbit whose monodromy has spectral radius
+    1 or more, fixed-point steps would move away from it, so the fine stage
+    starts with Newton.  The returned anchor, residual, boundary and
+    ``monodromy`` are the fine stage's, so the orbit is the ``n``-step
+    fixed point to ``_ORBIT_TOL``; only the path to it changes.
+    ``iterations``, ``newton_iterations`` and ``clamped`` are totals over
+    both stages (so per-step costs averaged from them mix
     ``_COARSE_STEPS``-step and ``n``-step maps), ``max_iter`` bounds each
-    stage on its own, and ``coarse_monodromy`` holds the coarse stage's pass
-    at its anchor.  When ``n <= _COARSE_STEPS``, or when either stage
-    diverges or does not converge (a 16-step RK4 period map can diverge
-    where the ``n``-step one does not), the result is ``_locate_at`` at
-    ``n`` from ``guess``, bit for bit, with ``coarse_monodromy`` None; its
-    counters leave out the stages that were given up.
+    stage on its own, and ``coarse_monodromy`` holds the coarse stage's
+    pass at its anchor when that stage converged (None otherwise).  When
+    ``n <= _COARSE_STEPS``, or when the coarse stage diverges (a 16-step
+    RK4 period map can diverge where the ``n``-step one does not), the
+    result is ``_locate_at`` at ``n`` from ``guess``, with
+    ``coarse_monodromy`` None; its counters leave out the diverged stage.
 
     The existence warning is issued once per call, whatever path runs.
     """
@@ -279,43 +290,67 @@ def locate_savanna_orbit(p: ModelParams, guess: VegState, *, max_iter: int = 600
             " when mu_G > 0); attempting orbit location anyway",
             stacklevel=2,
         )
-    if n > _COARSE_STEPS:
-        try:
-            coarse = _locate_at(p, guess, max_iter, _COARSE_STEPS)
-            fine = _locate_at(p, coarse.anchor, max_iter, n) if coarse.converged else None
-        except NumericalError:
-            fine = None
-        if fine is not None and fine.converged:
-            return replace(
-                fine,
-                iterations=coarse.iterations + fine.iterations,
-                newton_iterations=coarse.newton_iterations + fine.newton_iterations,
-                clamped=coarse.clamped + fine.clamped,
-                coarse_monodromy=coarse.monodromy,
-            )
-    return _locate_at(p, guess, max_iter, n)
+    try:
+        coarse = _locate_at(p, guess, max_iter, _COARSE_STEPS) if n > _COARSE_STEPS else None
+    except NumericalError:
+        coarse = None
+    if coarse is None:
+        return _locate_at(p, guess, max_iter, n)
+    found = coarse.monodromy if coarse.converged else None
+    unstable = found is not None and _spectral_radius(found.matrix) >= 1.0
+    fine = _locate_at(p, coarse.anchor, max_iter, n, newton=unstable)
+    return replace(fine, iterations=coarse.iterations + fine.iterations,
+                   newton_iterations=coarse.newton_iterations + fine.newton_iterations,
+                   clamped=coarse.clamped + fine.clamped, coarse_monodromy=found)
 
 
-def _locate_at(p: ModelParams, guess: VegState, max_iter: int, n: int) -> OrbitResult:
+def _face_step(a, x, px):
+    """The Newton step ``delta`` of ``a @ delta = px - x`` from ``x``, with
+    ``a = I - M`` and ``px = P(x)``, projected on the invariant faces.
+
+    The components fall into two groups, the trees ``[0, 1]`` and the grass
+    ``[2]``.  A group that the full step would push below 0, or that is
+    exactly 0 in both ``x`` and ``px``, steps to 0 (``delta = -x`` there,
+    so its zeros are exact), and the other rows are solved with that group
+    held at 0.  Returns the step and whether any group stepped onto its
+    face.
+    """
+    r = px - x
+    delta = np.linalg.solve(a, r)
+    zero = [i for g in ([0, 1], [2]) for i in g
+            if np.any(x[g] + delta[g] < 0.0) or not (np.any(x[g]) or np.any(px[g]))]
+    if zero:
+        free = [i for i in range(3) if i not in zero]
+        delta[zero] = -x[zero]
+        delta[free] = np.linalg.solve(a[np.ix_(free, free)],
+                                      r[free] + a[np.ix_(free, zero)] @ x[zero])
+    return delta, bool(zero)
+
+
+def _locate_at(p: ModelParams, guess: VegState, max_iter: int, n: int, *,
+               newton: bool = False) -> OrbitResult:
     """One location of the ``n``-step fixed point from ``guess``.
 
     Fixed-point iteration runs until it is in the basin of the fixed point it
     is heading for: the residual ``res_k = |P(x) - x|`` is below
     ``1e-4 * max(K_T, K_G)`` and the contraction ratio
     ``r_k = res_k / res_{k-1}`` has settled (``|r_k - r_{k-1}| < 0.05`` and
-    ``r_k < 1``), or, as before, it stalls (``res_k > 0.95 res_{k-1}`` after
-    ten steps with ``res_k < 1e-2``).  Damped Newton steps on
+    ``r_k < 1``).  A looser switch lets Newton jump to a neighbouring orbit
+    (a forest instead of a grassland orbit, say).  Newton steps on
     ``P(x) - x = 0`` then finish the location, each taking ``P(x)`` and
-    ``M`` from one variational pass and solving with ``I - M``.  If a
-    Newton residual does not shrink, or ``I - M`` is singular, the iteration
-    goes back to a plain fixed-point step from the last accepted point and
-    must settle again before the next Newton step.  A looser switch lets
-    Newton jump to a neighbouring orbit (a forest instead of a grassland
-    orbit, say).  Negative components of a Newton step are set to zero and
-    counted in ``clamped``.  Convergence to a boundary solution is reported
-    by name, not as an error.  The orbit is located when the residual is
-    below ``_ORBIT_TOL`` (1e-10); ``iterations`` and ``newton_iterations``
-    stop at ``max_iter`` each.
+    ``M`` from one variational pass and solving with ``I - M`` through
+    ``_face_step``: a step that would cross the tree or the grass face, or
+    that starts on a face the period map keeps, ends on that face, and is
+    counted in ``clamped``; any other component the step leaves negative
+    is set to 0.  If a Newton residual does not shrink, or a solve is
+    singular, the iteration goes back to a plain fixed-point step from the
+    last accepted point and must settle again before the next Newton step.
+    ``newton=True`` starts with a Newton step from ``guess``, for a guess
+    that is already at an orbit that fixed-point steps would leave.
+    Convergence to a boundary solution is reported by name, not as an
+    error.  The orbit is located when the residual is below ``_ORBIT_TOL``
+    (1e-10); ``iterations`` and ``newton_iterations`` stop at ``max_iter``
+    each.
 
     ``monodromy`` holds the variational pass at the anchor.  When a Newton
     step converged it is that step's pass; otherwise (convergence in the
@@ -326,14 +361,12 @@ def _locate_at(p: ModelParams, guess: VegState, max_iter: int, n: int) -> OrbitR
     residual = math.inf
     prev_residual = ratio = math.nan      # no history yet: every test is False
     iterations = newton_used = clamped = 0
-    newton = False
     at_anchor = None                      # the variational pass at the anchor
     while iterations < max_iter and newton_used < max_iter:
         if newton:
             newton_used += 1
             full = monodromy_full(p, VegState.from_array(x), n)
-            pre = full.pre_fire_state
-            px = np.array(_impulse(pre.t_s, pre.t_ns, pre.g, p))
+            px = impulse_map(full.pre_fire_state, p).as_array()
             step_residual = float(np.linalg.norm(px - x))
             if step_residual < _ORBIT_TOL:
                 # x has no negative component, so it is the anchor
@@ -344,19 +377,12 @@ def _locate_at(p: ModelParams, guess: VegState, max_iter: int, n: int) -> OrbitR
             else:
                 residual, fallback = step_residual, px
                 try:
-                    delta = np.linalg.solve(np.eye(3) - full.matrix, px - x)
+                    delta, on_face = _face_step(np.eye(3) - full.matrix, x, px)
                 except np.linalg.LinAlgError:
                     x, newton = px, False
                 else:
-                    scale = 1.0
-                    while scale > 1e-4 and np.any(x + scale * delta < -1e-12):
-                        scale *= 0.5
-                    x = x + scale * delta
-                    if np.any(x < 0.0):
-                        clamped += 1
-                        x = np.maximum(x, 0.0)
-            if not newton:
-                prev_residual = ratio = math.nan
+                    x = np.maximum(x + delta, 0.0)
+                    clamped += on_face
             continue
         px = _period_map(p, x, n)
         iterations += 1
@@ -365,13 +391,11 @@ def _locate_at(p: ModelParams, guess: VegState, max_iter: int, n: int) -> OrbitR
         if residual < _ORBIT_TOL:
             break
         prev_ratio, ratio = ratio, residual / prev_residual if prev_residual else math.nan
-        settled = ratio < 1.0 and abs(ratio - prev_ratio) < 0.05
-        stalled = residual > 0.95 * prev_residual and iterations >= 10 and residual < 1e-2
         prev_residual = residual
-        if (residual < basin and settled) or stalled:
-            # the last fixed-point step is the fallback of the first Newton step
-            newton, fallback = True, x
-    x = np.maximum(x, 0.0)
+        if residual < basin and ratio < 1.0 and abs(ratio - prev_ratio) < 0.05:
+            # the last fixed-point step is the fallback of the first Newton step;
+            # fixed-point steps after a Newton step must settle again
+            newton, fallback, prev_residual = True, x, math.nan
     anchor = VegState.from_array(x)
     if at_anchor is None:
         at_anchor = monodromy_full(p, anchor, n)
@@ -386,6 +410,10 @@ def _locate_at(p: ModelParams, guess: VegState, max_iter: int, n: int) -> OrbitR
         monodromy=at_anchor,
         coarse_monodromy=None,
     )
+
+
+def _spectral_radius(m: np.ndarray) -> float:
+    return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
 def rho_tg(p: ModelParams, anchor: VegState, n: int = DEFAULT_STEPS) -> float:
@@ -475,9 +503,12 @@ def floquet_report(p: ModelParams, guess: VegState | None = None,
     grassland cross-check is ``grassland_agreement``.
 
     ``diagnostics`` holds the location's counters (totals over both stages),
-    ``coarse_steps`` (``_COARSE_STEPS``, or None when the orbit was located
-    at ``n`` alone) and ``rho_tg_error``, the error estimate of ``rho_tg``
-    from the coarse stage's monodromy (None without one)."""
+    ``coarse_steps`` (``_COARSE_STEPS``, or None when the coarse stage did
+    not run, diverged or did not converge) and ``rho_tg_error``, the error
+    estimate of ``rho_tg`` from the converged coarse stage's monodromy
+    (None without one).  ``cubic_eigenvalues`` runs once, on the located
+    orbit's monodromy; the coarse radius is the one that decided whether
+    the fine stage started with Newton."""
     if guess is None:
         guess = VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G)
     orbit = locate_savanna_orbit(p, guess, n=n)
@@ -495,7 +526,7 @@ def floquet_report(p: ModelParams, guess: VegState | None = None,
     if orbit.coarse_monodromy is not None:
         # RK4 is fourth order: rho(h) = rho + C h^4, so rho(16) - rho(n) is
         # (n/16)^4 - 1 times the error of rho(n)
-        coarse_rho = float(np.max(np.abs(np.linalg.eigvals(orbit.coarse_monodromy.matrix))))
+        coarse_rho = _spectral_radius(orbit.coarse_monodromy.matrix)
         diagnostics["coarse_steps"] = _COARSE_STEPS
         diagnostics["rho_tg_error"] = abs(coarse_rho - rho) / ((n / _COARSE_STEPS) ** 4 - 1.0)
     return FloquetReport(

@@ -515,6 +515,52 @@ def test_floquet_report_analyses_only_the_located_orbit(monkeypatch):
     assert grassland_agreement(p, 64)["xi3"] == grassland_multipliers_analytic(p)[2]
 
 
+# floquet_orbits seed 1, group 13, command 2 (region 3): fixed-point steps
+# creep towards the grassland orbit under a tree multiplier of 0.99666, and a
+# full Newton step from the basin crosses T = 0
+SLOW_GRASSLAND_CASE = dict(
+    tau=0.7021465670802941, K_T=115.28858421398968, K_G=14.299699772256119,
+    gamma_G=4.335380712856412, gamma_S=2.0927137926289054,
+    gamma_NS=2.559679322901968, mu_NS=0.030212560699296516,
+    sigma_NS=0.07321193445823004, mu_S=0.05222608329566198,
+    omega_S=0.09628174041382045, mu_G=0.14743538678765608,
+    eta_S=0.40923193769294175, eta_G=0.25705307196350824)
+
+
+def test_a_newton_step_across_the_tree_face_ends_on_it():
+    p = region_preset(3).params.replace(**SLOW_GRASSLAND_CASE)
+    guess = VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G)
+    orbit = locate_savanna_orbit(p, guess, n=64)
+    assert orbit.converged and orbit.boundary == "grassland"
+    assert orbit.newton_iterations >= 1 and orbit.clamped >= 1
+    assert orbit.anchor.t_s == orbit.anchor.t_ns == 0.0
+    # the 64-step fixed point on the face; the closed form is the exact
+    # orbit, 1.03e-9 * K_G away from it at 64 RK4 steps per period
+    closed = (1.0 - p.eta_G) * grassland_orbit_end(p)
+    on_face = _locate_at(p, VegState(0.0, 0.0, closed), 600, 64)
+    assert on_face.converged and on_face.anchor.t_s == on_face.anchor.t_ns == 0.0
+    assert abs(orbit.anchor.g - on_face.anchor.g) < 1e-10 * p.K_G
+    assert abs(orbit.anchor.g - closed) < 2e-9 * p.K_G
+
+
+def test_the_coarse_stage_reaches_the_grassland_face():
+    # floquet_orbits seed 1, group 42, command 1 (region 2): the 16-step
+    # location used to halve its Newton steps towards T = 0 for 600 steps
+    p = region_preset(2).params.replace(
+        tau=4.265178334161965, K_T=87.84722690201897, K_G=9.430898351035193,
+        gamma_G=3.4773467871209225, gamma_S=0.4872209112356358,
+        gamma_NS=1.5897030351378638, mu_NS=0.098202322779044,
+        sigma_G=1.340870424373485, sigma_NS=0.03565939410827708,
+        mu_S=0.2630900900694518, omega_S=0.12329923755739251,
+        mu_G=0.33286978964983993, eta_S=0.19064291871366848,
+        eta_G=0.2816016011810881)
+    guess = VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G)
+    orbit = _locate_at(p, guess, 600, 16)
+    assert orbit.converged and orbit.boundary == "grassland"
+    assert 1 <= orbit.newton_iterations <= 10
+    assert orbit.anchor.t_s == orbit.anchor.t_ns == 0.0
+
+
 def _orbit_cases():
     # case -> (params, guess, n, max_iter, converged, Newton steps taken)
     cases = {}
@@ -530,17 +576,12 @@ def _orbit_cases():
         True, False)
     cases["unconverged"] = (
         p, VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G), 64, 3, False, False)
-    # floquet_orbits seed 1, group 13, command 2: 600 fixed-point steps, and
-    # its 17 Newton steps are rejected, so the last pass is not at the anchor
-    p = p.replace(
-        tau=0.7021465670802941, K_T=115.28858421398968, K_G=14.299699772256119,
-        gamma_G=4.335380712856412, gamma_S=2.0927137926289054,
-        gamma_NS=2.559679322901968, mu_NS=0.030212560699296516,
-        sigma_NS=0.07321193445823004, mu_S=0.05222608329566198,
-        omega_S=0.09628174041382045, mu_G=0.14743538678765608,
-        eta_S=0.40923193769294175, eta_G=0.25705307196350824)
-    cases["unconverged after Newton steps"] = (
-        p, VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G), 64, 600, False, True)
+    # the slow grassland approach below: 600 steps converge on the face; 200
+    # stop after a rejected Newton step, so the last pass is not at the anchor
+    p = p.replace(**SLOW_GRASSLAND_CASE)
+    guess = VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G)
+    cases["slow grassland approach"] = (p, guess, 64, 600, True, True)
+    cases["unconverged after Newton steps"] = (p, guess, 64, 200, False, True)
     return cases
 
 
@@ -593,6 +634,44 @@ DIVERGING_COARSE_CASE = dict(
     eta_G=0.14508070182457597)
 
 
+# floquet_orbits seed 2, group 70, command 2 (region 3): an unstable
+# interior orbit, rho_tg about 1.012, that the coarse stage converges to
+UNSTABLE_CASE = dict(
+    tau=1.5852931219012145, K_T=113.36959796141923, K_G=16.42691531881782,
+    gamma_G=3.6323505437211674, gamma_S=2.5344849286002638,
+    gamma_NS=2.9814270521520547, mu_NS=0.027865061442108027,
+    sigma_NS=0.07118794637012323, mu_S=0.10389721320313927,
+    omega_S=0.06979370265040358, mu_G=0.27685440632781017,
+    eta_S=0.6541578721241995, eta_G=0.5542018288360463)
+
+
+def test_the_fine_stage_finishes_an_unstable_coarse_orbit():
+    # fixed-point steps at n would move away from it, so Newton finishes
+    p = region_preset(3).params.replace(**UNSTABLE_CASE)
+    guess = VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G)
+    orbit = locate_savanna_orbit(p, guess, n=64)
+    assert orbit.converged and orbit.coarse_monodromy is not None
+    assert _same_orbit(orbit, _locate_at(p, guess, 600, 64), p)
+    assert floquet_report(p, n=64).verdict == "unstable"
+
+
+def test_location_runs_at_most_two_stages(monkeypatch):
+    calls = Counter()
+
+    def counted(*args, **kwargs):
+        calls["_locate_at"] += 1
+        return _locate_at(*args, **kwargs)
+    monkeypatch.setattr(floquet, "_locate_at", counted)
+    cases = ((3, UNSTABLE_CASE, 600), (3, SLOW_GRASSLAND_CASE, 600),
+             (3, SLOW_GRASSLAND_CASE, 200), (2, DIVERGING_COARSE_CASE, 600))
+    for region, case, max_iter in cases:
+        p = region_preset(region).params.replace(**case)
+        calls.clear()
+        locate_savanna_orbit(p, VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G),
+                             n=64, max_iter=max_iter)
+        assert calls["_locate_at"] <= 2, (region, max_iter)
+
+
 def _assert_identical(a, b):
     assert a.anchor == b.anchor
     assert (a.converged, a.residual, a.iterations, a.newton_iterations, a.boundary,
@@ -623,8 +702,8 @@ def test_no_coarse_stage_at_or_below_its_step_count():
 def test_existence_warning_is_issued_once_per_call():
     p = r1(mu_G=0.9)  # r_g0 < 1
     guess = VegState(1.0, 1.0, 1.0)
-    # max_iter=5: the coarse stage does not converge and the direct path
-    # runs after it; 600: both stages run
+    # max_iter=5: the coarse stage does not converge and the fine stage
+    # starts from its last point; 600: both stages converge
     for max_iter in (5, 600):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

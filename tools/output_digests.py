@@ -24,8 +24,10 @@ to differ in the last digits can be compared numerically.
 line whose orbit converged in both (residual below 1e-10) passes when the
 anchors agree within 3e-10 * max(K_T, K_G), with K_T and K_G rebuilt from the
 command's parameters, and the boundary, verdict, exit code, level-curve and
-stdout digests and stderr are equal.  Every other line must be identical.
-Each mismatch is printed, and the exit code is 1 if there is any.
+stdout digests and stderr are equal.  An orbit that converged in one file
+only is reported with that file's name, boundary and verdict.  Every other
+line must be identical.  Each mismatch is printed, and the exit code is 1 if
+there is any.
 """
 
 from __future__ import annotations
@@ -130,7 +132,10 @@ def compare(path_a: str, path_b: str) -> int:
             return 1
         va, vb = _located(a), _located(b)
         why = None
-        if va is None or vb is None:
+        if (va is None) != (vb is None):
+            path, v = (path_a, va) if vb is None else (path_b, vb)
+            why = f"orbit converged only in {path}: {v['boundary']}/{v['verdict']}"
+        elif va is None:
             if a != b:
                 why = "lines differ"
         else:
