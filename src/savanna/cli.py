@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 
@@ -47,7 +48,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built once per process, on the first ``main`` call: ``parse_args`` keeps
+    # no state, and argparse copies the ``--set`` default list before appending
     parser = _Parser(prog="savanna", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

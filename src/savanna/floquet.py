@@ -5,8 +5,9 @@ solves the variational equation ``Phi' = DF(orbit(t)) Phi`` along the orbit
 (integrated jointly with the orbit by the fourth-order reference stepper) and
 ``J`` is the linearization of the fire map at the pre-fire state.  The orbit
 is re-integrated on every call rather than interpolated from stored samples,
-by RK4 on plain floats that writes out the nine entries of ``DF @ Phi``; its
-state update is the period map's, bit for bit.
+by RK4 on plain floats that carries the nine entries of ``Phi`` as named
+floats and writes out the nine entries of ``DF @ Phi``, with no list built
+per stage; its state update is the period map's, bit for bit.
 
 ``locate_savanna_orbit`` finds the fixed point of the period map (flow, then
 fire) by fixed-point iteration until the residual is below
@@ -27,16 +28,23 @@ count.
 
 The step counts of both phases do not depend on the steps per period ``n``,
 but each step costs time linear in ``n``.  So for ``n`` above
-``_COARSE_STEPS`` (16) the location runs twice: once at 16 steps per period
-from the guess, to find the basin, and once at ``n`` from the coarse
-stage's last point, which needs only a few steps.  When the coarse orbit is
-unstable, fixed-point steps would leave it, so the fine stage starts with
-Newton.  ``max_iter`` bounds each stage, and the iteration counters are
-totals over both, so a per-period-map time derived from them averages
-16-step and ``n``-step maps.  Only where the 16-step map diverges (it can
-where the ``n``-step one does not) does the location run at ``n`` from the
-guess instead.  The two monodromies give ``floquet_report`` a free error
-estimate of ``rho_tg``: RK4 is fourth order, so
+``_COARSE_STEPS`` (16) the location first runs at 16 steps per period from
+the guess.  When that stage converges, its anchor and monodromy ``M16`` are
+within O(16^-4) of the ``n``-step ones, and a chord finish (simplified
+Newton; Kelley, *Iterative Methods for Linear and Nonlinear Equations*,
+SIAM 1995, section 5.4) takes steps ``x <- max(x + d, 0)`` with ``d`` the
+face step on ``I - M16``: one ``n``-step period map each and no variational
+pass, then one pass at the anchor.  This works for unstable orbits too.  A
+chord residual that does not fall below half of the previous one (the
+``n``-step multipliers are too far from the 16-step ones) hands over to
+Newton steps at ``n`` from the chord's point.  A coarse stage that stops
+unconverged is followed by the whole location again at ``n`` from its last
+point.  ``max_iter`` bounds each stage, and the iteration counters are
+totals over all of them, so a per-period-map time derived from them
+averages 16-step and ``n``-step maps.  Only where the 16-step map diverges
+(it can where the ``n``-step one does not) does the location run at ``n``
+from the guess instead.  The two monodromies give ``floquet_report`` a free
+error estimate of ``rho_tg``: RK4 is fourth order, so
 ``|rho(16) - rho(n)| / ((n/16)^4 - 1)``.
 
 The spectral radius of the monodromy that the located orbit carries decides
@@ -117,12 +125,15 @@ def jump_jacobian(s: VegState, p: ModelParams) -> np.ndarray:
 # flow + variational integration (RK4 on the augmented system)
 # ---------------------------------------------------------------------------
 
-def _variational_rhs(ts, tns, g, phi, p, j21, j22):
+def _variational_rhs(ts, tns, g, f11, f12, f13, f21, f22, f23, f31, f32, f33,
+                     p, j21, j22):
     """Right-hand side of the augmented system on plain floats: the flow,
-    ``DF @ Phi`` entry by entry (``phi`` row-major) and ``trace DF``."""
+    the nine entries of ``DF @ Phi`` (row-major) and ``trace DF``, as one
+    flat tuple."""
     j11, j12, j13, j32, j33 = _jacobian(ts, tns, g, p)
-    f11, f12, f13, f21, f22, f23, f31, f32, f33 = phi
-    return _rhs(ts, tns, g, p), (
+    a, b, c = _rhs(ts, tns, g, p)
+    return (
+        a, b, c,
         j11 * f11 + j12 * f21 + j13 * f31,
         j11 * f12 + j12 * f22 + j13 * f32,
         j11 * f13 + j12 * f23 + j13 * f33,
@@ -132,43 +143,62 @@ def _variational_rhs(ts, tns, g, phi, p, j21, j22):
         j32 * f21 + j33 * f31,
         j32 * f22 + j33 * f32,
         j32 * f23 + j33 * f33,
-    ), j11 + j22 + j33
+        j11 + j22 + j33,
+    )
 
 
 def _flow_variational(p: ModelParams, anchor: VegState, n: int):
     """Returns (pre-fire state, Phi(tau), integral of trace DF along orbit).
 
-    Classical RK4 on floats; the state update is ``integrate._rk4_step``'s
-    expression, so the pre-fire state equals the period map's bit for bit.
+    Classical RK4 on floats, with the nine entries of ``Phi`` as named
+    floats ``fij`` and their stage derivatives as ``uij``, ``vij``, ``wij``
+    and ``zij`` (no per-stage lists); the state update is
+    ``integrate._rk4_step``'s expression, so the pre-fire state equals the
+    period map's bit for bit.
     """
     h = p.tau / n
     half = 0.5 * h
     sixth = h / 6.0
     j21, j22 = p.omega_S, -p.mu_NS
     ts, tns, g = anchor.t_s, anchor.t_ns, anchor.g
-    phi = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+    f11, f12, f13, f21, f22, f23, f31, f32, f33 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
     q = 0.0
     for _ in range(n):
-        (a1, b1, c1), k1, q1 = _variational_rhs(ts, tns, g, phi, p, j21, j22)
-        (a2, b2, c2), k2, q2 = _variational_rhs(
+        (a1, b1, c1, u11, u12, u13, u21, u22, u23, u31, u32, u33, q1) = _variational_rhs(
+            ts, tns, g, f11, f12, f13, f21, f22, f23, f31, f32, f33, p, j21, j22)
+        (a2, b2, c2, v11, v12, v13, v21, v22, v23, v31, v32, v33, q2) = _variational_rhs(
             ts + half * a1, tns + half * b1, g + half * c1,
-            [f + half * k for f, k in zip(phi, k1)], p, j21, j22)
-        (a3, b3, c3), k3, q3 = _variational_rhs(
+            f11 + half * u11, f12 + half * u12, f13 + half * u13,
+            f21 + half * u21, f22 + half * u22, f23 + half * u23,
+            f31 + half * u31, f32 + half * u32, f33 + half * u33, p, j21, j22)
+        (a3, b3, c3, w11, w12, w13, w21, w22, w23, w31, w32, w33, q3) = _variational_rhs(
             ts + half * a2, tns + half * b2, g + half * c2,
-            [f + half * k for f, k in zip(phi, k2)], p, j21, j22)
-        (a4, b4, c4), k4, q4 = _variational_rhs(
+            f11 + half * v11, f12 + half * v12, f13 + half * v13,
+            f21 + half * v21, f22 + half * v22, f23 + half * v23,
+            f31 + half * v31, f32 + half * v32, f33 + half * v33, p, j21, j22)
+        (a4, b4, c4, z11, z12, z13, z21, z22, z23, z31, z32, z33, q4) = _variational_rhs(
             ts + h * a3, tns + h * b3, g + h * c3,
-            [f + h * k for f, k in zip(phi, k3)], p, j21, j22)
+            f11 + h * w11, f12 + h * w12, f13 + h * w13,
+            f21 + h * w21, f22 + h * w22, f23 + h * w23,
+            f31 + h * w31, f32 + h * w32, f33 + h * w33, p, j21, j22)
         ts = ts + sixth * (a1 + 2.0 * (a2 + a3) + a4)
         tns = tns + sixth * (b1 + 2.0 * (b2 + b3) + b4)
         g = g + sixth * (c1 + 2.0 * (c2 + c3) + c4)
-        phi = [f + sixth * (e1 + 2.0 * (e2 + e3) + e4)
-               for f, e1, e2, e3, e4 in zip(phi, k1, k2, k3, k4)]
+        f11 = f11 + sixth * (u11 + 2.0 * (v11 + w11) + z11)
+        f12 = f12 + sixth * (u12 + 2.0 * (v12 + w12) + z12)
+        f13 = f13 + sixth * (u13 + 2.0 * (v13 + w13) + z13)
+        f21 = f21 + sixth * (u21 + 2.0 * (v21 + w21) + z21)
+        f22 = f22 + sixth * (u22 + 2.0 * (v22 + w22) + z22)
+        f23 = f23 + sixth * (u23 + 2.0 * (v23 + w23) + z23)
+        f31 = f31 + sixth * (u31 + 2.0 * (v31 + w31) + z31)
+        f32 = f32 + sixth * (u32 + 2.0 * (v32 + w32) + z32)
+        f33 = f33 + sixth * (u33 + 2.0 * (v33 + w33) + z33)
         q = q + sixth * (q1 + 2.0 * (q2 + q3) + q4)
     if not (math.isfinite(ts) and math.isfinite(tns) and math.isfinite(g)):
         raise NumericalError("orbit escaped during variational integration")
     pre = VegState(max(ts, 0.0), max(tns, 0.0), max(g, 0.0))
-    return pre, np.array(phi).reshape(3, 3), q
+    phi = np.array([[f11, f12, f13], [f21, f22, f23], [f31, f32, f33]])
+    return pre, phi, q
 
 
 @dataclass(frozen=True)
@@ -219,10 +249,10 @@ class OrbitResult:
     anchor: VegState
     converged: bool
     residual: float
-    iterations: int               # fixed-point steps, one period map each
+    iterations: int               # period maps outside Newton steps (fixed-point and chord)
     newton_iterations: int        # Newton steps, one variational pass each
     boundary: str | None          # "desert"/"forest"/"grassland" if not interior
-    clamped: int                  # Newton steps that ended on a face (trees or grass at 0)
+    clamped: int                  # Newton and chord steps that ended on a face
     monodromy: MonodromyResult    # the variational pass at ``anchor``
     coarse_monodromy: MonodromyResult | None   # the coarse stage's, if it ran
 
@@ -261,17 +291,19 @@ def locate_savanna_orbit(p: ModelParams, guess: VegState, *, max_iter: int = 600
                          n: int = DEFAULT_STEPS) -> OrbitResult:
     """Find a fixed point of the period map (flow over one period, then fire).
 
-    For ``n`` above ``_COARSE_STEPS`` (16) the location runs in two stages:
+    For ``n`` above ``_COARSE_STEPS`` (16) the location runs in two stages.
     ``_locate_at`` first heads for the ``_COARSE_STEPS``-step fixed point
-    from ``guess``, then runs again at ``n`` from the coarse stage's last
-    point, where it is already in the basin and needs few steps.  When that
-    point is a converged coarse orbit whose monodromy has spectral radius
-    1 or more, fixed-point steps would move away from it, so the fine stage
-    starts with Newton.  The returned anchor, residual, boundary and
-    ``monodromy`` are the fine stage's, so the orbit is the ``n``-step
-    fixed point to ``_ORBIT_TOL``; only the path to it changes.
+    from ``guess``.  When that stage converges, ``_chord_finish`` takes
+    chord steps at ``n`` from its anchor with its monodromy ``M16`` (one
+    period map each, no variational pass), and hands over to Newton steps
+    at ``n`` (``_locate_at(..., newton=True)``) only if a chord residual
+    does not fall below ``_CHORD_SHRINK`` (1/2) of the previous one.  When
+    the coarse stage stops unconverged, ``_locate_at`` runs again at ``n``
+    from its last point.  The returned anchor, residual, boundary and
+    ``monodromy`` are the ``n``-step stage's, so the orbit is the
+    ``n``-step fixed point to ``_ORBIT_TOL``; only the path to it changes.
     ``iterations``, ``newton_iterations`` and ``clamped`` are totals over
-    both stages (so per-step costs averaged from them mix
+    every stage (so per-step costs averaged from them mix
     ``_COARSE_STEPS``-step and ``n``-step maps), ``max_iter`` bounds each
     stage on its own, and ``coarse_monodromy`` holds the coarse stage's
     pass at its anchor when that stage converged (None otherwise).  When
@@ -297,11 +329,65 @@ def locate_savanna_orbit(p: ModelParams, guess: VegState, *, max_iter: int = 600
     if coarse is None:
         return _locate_at(p, guess, max_iter, n)
     found = coarse.monodromy if coarse.converged else None
-    unstable = found is not None and _spectral_radius(found.matrix) >= 1.0
-    fine = _locate_at(p, coarse.anchor, max_iter, n, newton=unstable)
+    if found is None:
+        fine = _locate_at(p, coarse.anchor, max_iter, n)
+    else:
+        fine = _chord_finish(p, coarse.anchor, found.matrix, max_iter, n)
     return replace(fine, iterations=coarse.iterations + fine.iterations,
                    newton_iterations=coarse.newton_iterations + fine.newton_iterations,
                    clamped=coarse.clamped + fine.clamped, coarse_monodromy=found)
+
+
+_CHORD_SHRINK = 0.5       # a chord map must cut the residual below this share of the last
+
+
+def _chord_finish(p: ModelParams, start: VegState, m: np.ndarray, max_iter: int,
+                  n: int) -> OrbitResult:
+    """Chord (simplified Newton) steps on ``P_n(x) - x = 0`` from ``start``
+    with the fixed matrix ``I - m``: the converged coarse anchor and its
+    monodromy, within O(16^-4) of the ``n``-step ones (Kelley, *Iterative
+    Methods for Linear and Nonlinear Equations*, SIAM 1995, section 5.4).
+
+    Each step costs one period map at ``n`` and is ``x <- max(x + d, 0)``
+    with ``d`` from ``_face_step``, so face orbits keep exact zeros; steps
+    that end on a face count in ``clamped``.  At ``|P_n(x) - x| <
+    _ORBIT_TOL`` the anchor is ``x`` and one variational pass runs there.
+    A residual not below ``_CHORD_SHRINK`` times the previous one, a
+    singular ``I - m`` or ``max_iter`` maps hand over to
+    ``_locate_at(..., newton=True)`` from the current point; a period map
+    that diverges hands over from the last point whose map was finite.
+    ``iterations`` counts the chord's period maps plus the hand-over's.
+    """
+    a = np.eye(3) - m
+    x = last = start.as_array()
+    prev = math.inf
+    maps = clamped = 0
+    while maps < max_iter:
+        maps += 1
+        try:
+            px = _period_map(p, x, n)
+        except NumericalError:
+            x = last
+            break
+        residual = float(np.linalg.norm(px - x))
+        if residual < _ORBIT_TOL:
+            anchor = VegState.from_array(x)
+            return OrbitResult(
+                anchor=anchor, converged=True, residual=residual, iterations=maps,
+                newton_iterations=0, boundary=_boundary_label(x, p), clamped=clamped,
+                monodromy=monodromy_full(p, anchor, n), coarse_monodromy=None)
+        if not residual < _CHORD_SHRINK * prev:
+            break
+        prev, last = residual, x
+        try:
+            delta, on_face = _face_step(a, x, px)
+        except np.linalg.LinAlgError:
+            break
+        x = np.maximum(x + delta, 0.0)
+        clamped += on_face
+    newton = _locate_at(p, VegState.from_array(x), max_iter, n, newton=True)
+    return replace(newton, iterations=maps + newton.iterations,
+                   clamped=clamped + newton.clamped)
 
 
 def _face_step(a, x, px):
@@ -345,8 +431,9 @@ def _locate_at(p: ModelParams, guess: VegState, max_iter: int, n: int, *,
     is set to 0.  If a Newton residual does not shrink, or a solve is
     singular, the iteration goes back to a plain fixed-point step from the
     last accepted point and must settle again before the next Newton step.
-    ``newton=True`` starts with a Newton step from ``guess``, for a guess
-    that is already at an orbit that fixed-point steps would leave.
+    ``newton=True`` starts with a Newton step from ``guess``: the chord
+    finish hands over this way, from a point already near the orbit, which
+    fixed-point steps would leave if it is unstable.
     Convergence to a boundary solution is reported by name, not as an
     error.  The orbit is located when the residual is below ``_ORBIT_TOL``
     (1e-10); ``iterations`` and ``newton_iterations`` stop at ``max_iter``
@@ -410,10 +497,6 @@ def _locate_at(p: ModelParams, guess: VegState, max_iter: int, n: int, *,
         monodromy=at_anchor,
         coarse_monodromy=None,
     )
-
-
-def _spectral_radius(m: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
 def rho_tg(p: ModelParams, anchor: VegState, n: int = DEFAULT_STEPS) -> float:
@@ -507,8 +590,7 @@ def floquet_report(p: ModelParams, guess: VegState | None = None,
     not run, diverged or did not converge) and ``rho_tg_error``, the error
     estimate of ``rho_tg`` from the converged coarse stage's monodromy
     (None without one).  ``cubic_eigenvalues`` runs once, on the located
-    orbit's monodromy; the coarse radius is the one that decided whether
-    the fine stage started with Newton."""
+    orbit's monodromy; the coarse radius feeds only the error estimate."""
     if guess is None:
         guess = VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G)
     orbit = locate_savanna_orbit(p, guess, n=n)
@@ -526,7 +608,7 @@ def floquet_report(p: ModelParams, guess: VegState | None = None,
     if orbit.coarse_monodromy is not None:
         # RK4 is fourth order: rho(h) = rho + C h^4, so rho(16) - rho(n) is
         # (n/16)^4 - 1 times the error of rho(n)
-        coarse_rho = _spectral_radius(orbit.coarse_monodromy.matrix)
+        coarse_rho = float(np.max(np.abs(np.linalg.eigvals(orbit.coarse_monodromy.matrix))))
         diagnostics["coarse_steps"] = _COARSE_STEPS
         diagnostics["rho_tg_error"] = abs(coarse_rho - rho) / ((n / _COARSE_STEPS) ** 4 - 1.0)
     return FloquetReport(

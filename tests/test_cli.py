@@ -4,7 +4,7 @@ import sys
 from pathlib import Path
 
 import savanna
-from savanna import dump_params_text, region_preset
+from savanna import cli, dump_params_text, region_preset
 from savanna.cli import main
 
 SRC = Path(savanna.__file__).resolve().parent.parent
@@ -52,6 +52,25 @@ def test_usage_errors_exit_1(capsys):
                "--axes", "bad")[0] == 1
     assert run(capsys, "floquet", "--region", "2", "--steps", "0")[0] == 1
     assert run(capsys, "floquet", "--region", "2", "--steps", "-5")[0] == 1
+
+
+def test_one_parser_per_process_gives_a_fresh_parsers_bytes(capsys):
+    # the parser is built once; each call must still start from the
+    # defaults, so --set lists from earlier calls never leak into later ones
+    argvs = (["classify", "--region", "1", "--set", "tau=2.5", "--set", "sigma_G=0.93"],
+             ["classify", "--region", "1"],
+             ["classify", "--region", "1", "--set", "oops"],          # usage error
+             ["classify", "--region", "2", "--csv", "--set", "mu_G=0.2"],
+             ["classify", "--region", "1"])
+    shared = [run(capsys, *argv) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 1, 0, 0]
+    assert shared[0][1] != shared[1][1] == shared[4][1]
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_validation_errors_exit_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import warnings
 from collections import Counter
@@ -259,7 +260,7 @@ def test_monodromy_determinant_equals_multiplier_product():
 
 
 def test_period_map_and_variational_pass_share_the_orbit():
-    # the float RK4 of the period map and the array RK4 of the variational
+    # the float RK4 of the period map and the float RK4 of the variational
     # pass must land on the same pre-fire state, bit for bit
     for region in (1, 2, 3):
         p = region_preset(region).params
@@ -268,6 +269,34 @@ def test_period_map_and_variational_pass_share_the_orbit():
             direct = _period_map(p, anchor.as_array(), n)
             pre = monodromy_full(p, anchor, n).pre_fire_state
             assert np.array_equal(direct, impulse_map(pre, p).as_array())
+
+
+# sha256 of one variational pass from the default guess of each preset:
+# monodromy, Phi(tau), trace integral and pre-fire state, as little-endian
+# doubles.  Recorded before the pass moved from a tuple of Phi entries to
+# nine named floats; any change of expression or order changes a digest
+PASS_DIGESTS = {
+    (1, 16): "72232bc75391b81bab510a01466975b3d0f28ebc29c2622854fcf79068f63367",
+    (1, 64): "a27136cce8aee61e174fb0a80c1377c2aab5b4ed1c0a514b1ea8c25736c0ec9b",
+    (1, 2048): "356df8731279fb88ba72a04c119a8345163959e457a6b9d9eb08be20af04bb04",
+    (2, 16): "49d0a2b48b91a7e8086e9a223ce37ee7493072915b23a1b0e1c4d4a208916490",
+    (2, 64): "4ad96aa3a65fa6c17d4818b3ee309a4e113d2b9ff85359576f721c1b599a1c57",
+    (2, 2048): "76a1d4c83532d858f285cb90b8fbe50e5cd200a9bf8d4242f5bc3283bc35cdc9",
+    (3, 16): "7755e0c295b37d4282d5a53cf009db335986699fb2e3911f4b5f73518e0119c7",
+    (3, 64): "cf8519b823ab3780cc41fb8837f0b47a87c453c95960cb8a22cf688e58ed5850",
+    (3, 2048): "1a1f4c9e09b88f3b85a646367a5b4df8cea53ad4eae41df8996e5a8cb5b07872",
+}
+
+
+@pytest.mark.parametrize("region, n", sorted(PASS_DIGESTS))
+def test_variational_pass_bits_are_pinned(region, n):
+    p = region_preset(region).params
+    full = monodromy_full(p, VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G), n)
+    digest = hashlib.sha256()
+    for part in (full.matrix, full.fundamental, [full.trace_integral],
+                 full.pre_fire_state.as_array()):
+        digest.update(np.asarray(part, dtype="<f8").tobytes())
+    assert digest.hexdigest() == PASS_DIGESTS[region, n]
 
 
 @pytest.mark.parametrize("region", (1, 2, 3))
@@ -482,8 +511,9 @@ def test_floquet_report_csv_and_verdict():
 
 
 def test_floquet_report_analyses_only_the_located_orbit(monkeypatch):
-    # an orbit that converges in a Newton step takes one variational pass
-    # per Newton step and none more: the report reads the last one.  The
+    # one variational pass per point: one per Newton step of the coarse
+    # stage, whose last is its anchor's, and one at the anchor the chord
+    # finish converged to, which the report reads.  The
     # parameters were checked when they were built, so the report checks
     # nothing; the closed forms are evaluated once and the grassland
     # cross-check is not run
@@ -507,7 +537,7 @@ def test_floquet_report_analyses_only_the_located_orbit(monkeypatch):
     rep = floquet_report(p, n=64)
     assert rep.boundary == "grassland"
     assert rep.diagnostics["converged"] and rep.diagnostics["newton_iterations"] >= 1
-    assert calls["_flow_variational"] == rep.diagnostics["newton_iterations"]
+    assert calls["_flow_variational"] == rep.diagnostics["newton_iterations"] + 1
     assert calls["require_valid"] == calls["validate"] == 0
     assert calls["compute_thresholds"] == 1
     r1(gamma_S=0.02)                # the counters see its two builds (preset, replace)
@@ -646,13 +676,76 @@ UNSTABLE_CASE = dict(
 
 
 def test_the_fine_stage_finishes_an_unstable_coarse_orbit():
-    # fixed-point steps at n would move away from it, so Newton finishes
+    # fixed-point steps at n would move away from it; chord steps with the
+    # coarse monodromy converge to it all the same
     p = region_preset(3).params.replace(**UNSTABLE_CASE)
     guess = VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G)
     orbit = locate_savanna_orbit(p, guess, n=64)
     assert orbit.converged and orbit.coarse_monodromy is not None
     assert _same_orbit(orbit, _locate_at(p, guess, 600, 64), p)
     assert floquet_report(p, n=64).verdict == "unstable"
+
+
+def _count_handovers(monkeypatch):
+    calls = Counter()
+
+    def counted(*args, newton=False, **kwargs):
+        calls[newton] += 1
+        return _locate_at(*args, newton=newton, **kwargs)
+    monkeypatch.setattr(floquet, "_locate_at", counted)
+    return calls
+
+
+# floquet_orbits seed 6, group 53, command 1 (region 2, tau about 4.88): at
+# 16 steps per period the orbit is interior with spectral radius 0.27, at 64
+# it is a grassland orbit with tree multiplier 0.76, so chord steps with the
+# 16-step monodromy do not halve the residual and Newton finishes
+SLOW_CHORD_CASE = dict(
+    tau=4.879537203044667, K_T=85.61138292074708, K_G=8.290794496621718,
+    gamma_G=2.5871140736022236, gamma_S=0.5150152417355027,
+    gamma_NS=1.882396927733581, mu_NS=0.07512727938770371,
+    sigma_G=1.5317333039077772, sigma_NS=-0.02131291030328035,
+    mu_S=0.23505574982932753, omega_S=0.09302551901383797,
+    mu_G=0.4279693596996546, eta_S=0.2901357982036774,
+    eta_G=0.5993794504876223)
+
+
+def test_a_slow_chord_hands_over_to_newton(monkeypatch):
+    p = region_preset(2).params.replace(**SLOW_CHORD_CASE)
+    guess = VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G)
+    calls = _count_handovers(monkeypatch)
+    orbit = locate_savanna_orbit(p, guess, n=64)
+    assert calls == {False: 1, True: 1}         # the coarse stage, then the hand-over
+    assert orbit.converged and orbit.boundary == "grassland"
+    assert _same_orbit(orbit, _locate_at(p, guess, 600, 64), p)
+
+
+CHORD_MATRICES = {
+    # every chord step is twice the Newton step, so the residual keeps its
+    # size and the second map hands over
+    "non-shrinking": lambda m: (np.eye(3) + m) / 2.0,
+    # the first step is 1e12 residuals long and the second map diverges, so
+    # Newton starts from the last point whose map was finite
+    "diverging": lambda m: (1.0 - 1e-12) * np.eye(3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHORD_MATRICES))
+def test_a_failing_chord_hands_over_and_lands_on_the_same_orbit(monkeypatch, case):
+    chord = floquet._chord_finish
+    monkeypatch.setattr(floquet, "_chord_finish", lambda p, start, m, max_iter, n: chord(
+        p, start, CHORD_MATRICES[case](m), max_iter, n))
+    p = region_preset(1).params
+    guess = VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G)
+    direct = _locate_at(p, guess, 600, 64)
+    calls = _count_handovers(monkeypatch)
+    orbit = locate_savanna_orbit(p, guess, n=64)
+    assert calls == {False: 1, True: 1}
+    coarse = _locate_at(p, guess, 600, 16)
+    assert orbit.iterations == coarse.iterations + 2       # two chord maps, then Newton
+    assert orbit.converged and orbit.interior
+    assert _same_orbit(orbit, direct, p)
+    assert np.array_equal(orbit.monodromy.matrix, monodromy(p, orbit.anchor, 64))
 
 
 def test_location_runs_at_most_two_stages(monkeypatch):
