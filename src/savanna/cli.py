@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 import warnings
 
@@ -129,7 +130,12 @@ def _load_params(args) -> ModelParams:
         values = region_preset(args.region).params.flat()
     elif getattr(args, "params", None):
         with open(args.params, "r", encoding="utf-8") as fh:
-            values = _param_values(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ParameterError(f"{args.params}: not UTF-8 text ({exc.reason} at "
+                                     f"byte {exc.start})") from None
+        values = _param_values(text)
     else:
         raise _UsageError("one of --region or --params is required")
     values.update(_parse_overrides(args.overrides))
@@ -234,6 +240,8 @@ def _parse_axes(spec: str) -> tuple[AxisSpec, AxisSpec]:
 def _cmd_sweep(args) -> None:
     if args.curves and args.level is None:
         raise _UsageError("--curves needs --level")
+    if args.level is not None and not math.isfinite(args.level):
+        raise _UsageError(f"--level must be finite, got {args.level!r}")
     p = _load_params(args)
     axis1, axis2 = _parse_axes(args.axes)
     try:

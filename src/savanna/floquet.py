@@ -12,40 +12,38 @@ per stage; its state update is the period map's, bit for bit.
 ``locate_savanna_orbit`` finds the fixed point of the period map (flow, then
 fire) by fixed-point iteration until the residual is below
 ``1e-4 * max(K_T, K_G)`` and the contraction ratio has settled, then by
-Newton steps, each from one variational pass.  The tight switch keeps
-Newton from jumping to a neighbouring orbit.  The zero sets of the trees
-(``T_S = T_NS = 0``) and of the grass (``G = 0``) are invariant faces of
-the period map, and the grassland and forest orbits lie on them: a Newton
-step that would cross a face, or that starts on one the period map keeps,
-ends on it, with the rest of the step solved there (a projected Newton
-step; Bertsekas, SIAM J. Control Optim. 20, 1982), so those orbits are
-reached in a few steps and their zeros are exact.  The period map runs the
-same float kernels as the variational pass, and every point gets at most
-one pass: the located orbit carries the pass at its anchor, which is the
-last Newton pass when a Newton step converged.  A ``ModelParams`` is
-checked when it is built; the public entry points check only the step
-count.
+Newton-type steps.  The tight switch keeps Newton from jumping to a
+neighbouring orbit.  The first step takes the monodromy from one
+variational pass; each later step solves with the last monodromy at hand
+and costs one period map, and the monodromy is refreshed by another pass
+only when a step fails to halve the residual (a chord iteration with
+refresh; Kelley, *Iterative Methods for Linear and Nonlinear Equations*,
+SIAM 1995, section 5.4).  The zero sets of the trees (``T_S = T_NS = 0``)
+and of the grass (``G = 0``) are invariant faces of the period map, and the
+grassland and forest orbits lie on them: a step that would cross a face, or
+that starts on one the period map keeps, ends on it, with the rest of the
+step solved there (a projected Newton step; Bertsekas, SIAM J. Control
+Optim. 20, 1982), so those orbits are reached in a few steps and their
+zeros are exact.  The period map runs the same float kernels as the
+variational pass, and every point gets at most one pass: the located orbit
+carries the pass at its anchor.  A ``ModelParams`` is checked when it is
+built; the public entry points check only the step count.
 
-The step counts of both phases do not depend on the steps per period ``n``,
-but each step costs time linear in ``n``.  So for ``n`` above
-``_COARSE_STEPS`` (16) the location first runs at 16 steps per period from
-the guess.  When that stage converges, its anchor and monodromy ``M16`` are
-within O(16^-4) of the ``n``-step ones, and a chord finish (simplified
-Newton; Kelley, *Iterative Methods for Linear and Nonlinear Equations*,
-SIAM 1995, section 5.4) takes steps ``x <- max(x + d, 0)`` with ``d`` the
-face step on ``I - M16``: one ``n``-step period map each and no variational
-pass, then one pass at the anchor.  This works for unstable orbits too.  A
-chord residual that does not fall below half of the previous one (the
-``n``-step multipliers are too far from the 16-step ones) hands over to
-Newton steps at ``n`` from the chord's point.  A coarse stage that stops
-unconverged is followed by the whole location again at ``n`` from its last
-point.  ``max_iter`` bounds each stage, and the iteration counters are
-totals over all of them, so a per-period-map time derived from them
-averages 16-step and ``n``-step maps.  Only where the 16-step map diverges
-(it can where the ``n``-step one does not) does the location run at ``n``
-from the guess instead.  The two monodromies give ``floquet_report`` a free
-error estimate of ``rho_tg``: RK4 is fourth order, so
-``|rho(16) - rho(n)| / ((n/16)^4 - 1)``.
+The step counts do not depend on the steps per period ``n``, but each step
+costs time linear in ``n``.  So for ``n`` above ``_COARSE_STEPS`` (16) the
+location first runs at 16 steps per period from the guess.  When that stage
+converges, its anchor and monodromy ``M16`` are within O(16^-4) of the
+``n``-step ones, and the ``n``-step stage starts its Newton-type steps there
+with ``M16``: one ``n``-step period map each, then one pass at the anchor.
+This works for unstable orbits too.  A coarse stage that stops unconverged
+is followed by the whole location again at ``n`` from its last point.
+``max_iter`` bounds each stage, and the iteration counters are totals over
+all of them, so a per-period-map time derived from them averages 16-step
+and ``n``-step maps.  Only where the 16-step map diverges (it can where the
+``n``-step one does not) does the location run at ``n`` from the guess
+instead.  The two monodromies give ``floquet_report`` a free error estimate
+of ``rho_tg``: RK4 is fourth order, so ``|rho(16) - rho(n)| / ((n/16)^4 -
+1)``.
 
 The spectral radius of the monodromy that the located orbit carries decides
 local stability of the orbit that ``floquet_report`` locates.  The analytic
@@ -249,10 +247,10 @@ class OrbitResult:
     anchor: VegState
     converged: bool
     residual: float
-    iterations: int               # period maps outside Newton steps (fixed-point and chord)
-    newton_iterations: int        # Newton steps, one variational pass each
+    iterations: int               # period maps outside variational passes
+    newton_iterations: int        # fresh-matrix steps, one variational pass each
     boundary: str | None          # "desert"/"forest"/"grassland" if not interior
-    clamped: int                  # Newton and chord steps that ended on a face
+    clamped: int                  # Newton-type steps that ended on a face
     monodromy: MonodromyResult    # the variational pass at ``anchor``
     coarse_monodromy: MonodromyResult | None   # the coarse stage's, if it ran
 
@@ -293,24 +291,22 @@ def locate_savanna_orbit(p: ModelParams, guess: VegState, *, max_iter: int = 600
 
     For ``n`` above ``_COARSE_STEPS`` (16) the location runs in two stages.
     ``_locate_at`` first heads for the ``_COARSE_STEPS``-step fixed point
-    from ``guess``.  When that stage converges, ``_chord_finish`` takes
-    chord steps at ``n`` from its anchor with its monodromy ``M16`` (one
-    period map each, no variational pass), and hands over to Newton steps
-    at ``n`` (``_locate_at(..., newton=True)``) only if a chord residual
-    does not fall below ``_CHORD_SHRINK`` (1/2) of the previous one.  When
-    the coarse stage stops unconverged, ``_locate_at`` runs again at ``n``
-    from its last point.  The returned anchor, residual, boundary and
-    ``monodromy`` are the ``n``-step stage's, so the orbit is the
-    ``n``-step fixed point to ``_ORBIT_TOL``; only the path to it changes.
-    ``iterations``, ``newton_iterations`` and ``clamped`` are totals over
-    every stage (so per-step costs averaged from them mix
+    from ``guess``, then runs again at ``n`` from that stage's last point.
+    When the coarse stage converged, the ``n``-step stage starts with its
+    Newton-type steps and the coarse monodromy ``M16`` (one period map each,
+    no variational pass until a step fails to halve the residual);
+    otherwise it starts with fixed-point steps.  The returned anchor,
+    residual, boundary and ``monodromy`` are the ``n``-step stage's, so the
+    orbit is the ``n``-step fixed point to ``_ORBIT_TOL``; only the path to
+    it changes.  ``iterations``, ``newton_iterations`` and ``clamped`` are
+    totals over both stages (so per-step costs averaged from them mix
     ``_COARSE_STEPS``-step and ``n``-step maps), ``max_iter`` bounds each
-    stage on its own, and ``coarse_monodromy`` holds the coarse stage's
-    pass at its anchor when that stage converged (None otherwise).  When
-    ``n <= _COARSE_STEPS``, or when the coarse stage diverges (a 16-step
-    RK4 period map can diverge where the ``n``-step one does not), the
-    result is ``_locate_at`` at ``n`` from ``guess``, with
-    ``coarse_monodromy`` None; its counters leave out the diverged stage.
+    stage on its own, and ``coarse_monodromy`` holds the coarse stage's pass
+    at its anchor when that stage converged (None otherwise).  When ``n <=
+    _COARSE_STEPS``, or when the coarse stage diverges (a 16-step RK4 period
+    map can diverge where the ``n``-step one does not), the result is
+    ``_locate_at`` at ``n`` from ``guess``, with ``coarse_monodromy`` None;
+    its counters leave out the diverged stage.
 
     The existence warning is issued once per call, whatever path runs.
     """
@@ -329,65 +325,10 @@ def locate_savanna_orbit(p: ModelParams, guess: VegState, *, max_iter: int = 600
     if coarse is None:
         return _locate_at(p, guess, max_iter, n)
     found = coarse.monodromy if coarse.converged else None
-    if found is None:
-        fine = _locate_at(p, coarse.anchor, max_iter, n)
-    else:
-        fine = _chord_finish(p, coarse.anchor, found.matrix, max_iter, n)
+    fine = _locate_at(p, coarse.anchor, max_iter, n, None if found is None else found.matrix)
     return replace(fine, iterations=coarse.iterations + fine.iterations,
                    newton_iterations=coarse.newton_iterations + fine.newton_iterations,
                    clamped=coarse.clamped + fine.clamped, coarse_monodromy=found)
-
-
-_CHORD_SHRINK = 0.5       # a chord map must cut the residual below this share of the last
-
-
-def _chord_finish(p: ModelParams, start: VegState, m: np.ndarray, max_iter: int,
-                  n: int) -> OrbitResult:
-    """Chord (simplified Newton) steps on ``P_n(x) - x = 0`` from ``start``
-    with the fixed matrix ``I - m``: the converged coarse anchor and its
-    monodromy, within O(16^-4) of the ``n``-step ones (Kelley, *Iterative
-    Methods for Linear and Nonlinear Equations*, SIAM 1995, section 5.4).
-
-    Each step costs one period map at ``n`` and is ``x <- max(x + d, 0)``
-    with ``d`` from ``_face_step``, so face orbits keep exact zeros; steps
-    that end on a face count in ``clamped``.  At ``|P_n(x) - x| <
-    _ORBIT_TOL`` the anchor is ``x`` and one variational pass runs there.
-    A residual not below ``_CHORD_SHRINK`` times the previous one, a
-    singular ``I - m`` or ``max_iter`` maps hand over to
-    ``_locate_at(..., newton=True)`` from the current point; a period map
-    that diverges hands over from the last point whose map was finite.
-    ``iterations`` counts the chord's period maps plus the hand-over's.
-    """
-    a = np.eye(3) - m
-    x = last = start.as_array()
-    prev = math.inf
-    maps = clamped = 0
-    while maps < max_iter:
-        maps += 1
-        try:
-            px = _period_map(p, x, n)
-        except NumericalError:
-            x = last
-            break
-        residual = float(np.linalg.norm(px - x))
-        if residual < _ORBIT_TOL:
-            anchor = VegState.from_array(x)
-            return OrbitResult(
-                anchor=anchor, converged=True, residual=residual, iterations=maps,
-                newton_iterations=0, boundary=_boundary_label(x, p), clamped=clamped,
-                monodromy=monodromy_full(p, anchor, n), coarse_monodromy=None)
-        if not residual < _CHORD_SHRINK * prev:
-            break
-        prev, last = residual, x
-        try:
-            delta, on_face = _face_step(a, x, px)
-        except np.linalg.LinAlgError:
-            break
-        x = np.maximum(x + delta, 0.0)
-        clamped += on_face
-    newton = _locate_at(p, VegState.from_array(x), max_iter, n, newton=True)
-    return replace(newton, iterations=maps + newton.iterations,
-                   clamped=clamped + newton.clamped)
 
 
 def _face_step(a, x, px):
@@ -413,8 +354,11 @@ def _face_step(a, x, px):
     return delta, bool(zero)
 
 
-def _locate_at(p: ModelParams, guess: VegState, max_iter: int, n: int, *,
-               newton: bool = False) -> OrbitResult:
+_CHORD_SHRINK = 0.5       # a reused-matrix step must cut the residual below this share
+
+
+def _locate_at(p: ModelParams, guess: VegState, max_iter: int, n: int,
+               m: np.ndarray | None = None) -> OrbitResult:
     """One location of the ``n``-step fixed point from ``guess``.
 
     Fixed-point iteration runs until it is in the basin of the fixed point it
@@ -422,67 +366,97 @@ def _locate_at(p: ModelParams, guess: VegState, max_iter: int, n: int, *,
     ``1e-4 * max(K_T, K_G)`` and the contraction ratio
     ``r_k = res_k / res_{k-1}`` has settled (``|r_k - r_{k-1}| < 0.05`` and
     ``r_k < 1``).  A looser switch lets Newton jump to a neighbouring orbit
-    (a forest instead of a grassland orbit, say).  Newton steps on
-    ``P(x) - x = 0`` then finish the location, each taking ``P(x)`` and
-    ``M`` from one variational pass and solving with ``I - M`` through
-    ``_face_step``: a step that would cross the tree or the grass face, or
-    that starts on a face the period map keeps, ends on that face, and is
-    counted in ``clamped``; any other component the step leaves negative
-    is set to 0.  If a Newton residual does not shrink, or a solve is
-    singular, the iteration goes back to a plain fixed-point step from the
-    last accepted point and must settle again before the next Newton step.
-    ``newton=True`` starts with a Newton step from ``guess``: the chord
-    finish hands over this way, from a point already near the orbit, which
-    fixed-point steps would leave if it is unstable.
+    (a forest instead of a grassland orbit, say).  A monodromy ``m``, when
+    given, skips that phase: its steps start at ``guess``.
+
+    Newton-type steps on ``P(x) - x = 0`` then finish the location (Kelley,
+    *Iterative Methods for Linear and Nonlinear Equations*, SIAM 1995,
+    section 5.4).  Each solves with ``I - M`` for the last monodromy ``M``
+    at hand, through ``_face_step``: a step that would cross the tree or the
+    grass face, or that starts on a face the period map keeps, ends on that
+    face and is counted in ``clamped``; any other component the step leaves
+    negative is set to 0.  A step with a reused ``M`` costs one period map;
+    a fresh step costs one variational pass at ``x``, which gives both
+    ``P(x)`` and a new ``M``.  A reused-``M`` step must bring the residual
+    below ``_CHORD_SHRINK`` (1/2) times the last accepted one.  If it does
+    not, or if its solve is singular, ``M`` is refreshed at ``x`` and a
+    fresh step is taken from there whatever its residual; if its period map
+    diverges, the refresh runs at the last point whose map was finite.  The
+    first fresh step after fixed-point steps must shrink the residual: if it
+    does not, if a fresh solve is singular, or if the period map after a
+    fresh step diverges, the iteration goes back to a plain fixed-point step
+    from the last accepted point and must settle again before the next
+    Newton-type step.
     Convergence to a boundary solution is reported by name, not as an
     error.  The orbit is located when the residual is below ``_ORBIT_TOL``
-    (1e-10); ``iterations`` and ``newton_iterations`` stop at ``max_iter``
-    each.
+    (1e-10).  ``iterations`` counts the period maps (fixed-point and
+    reused-``M`` steps) and ``newton_iterations`` the fresh steps, and each
+    stops at ``max_iter``.
 
-    ``monodromy`` holds the variational pass at the anchor.  When a Newton
-    step converged it is that step's pass; otherwise (convergence in the
-    fixed-point phase, or none) one more pass runs at the anchor.
+    ``monodromy`` holds the variational pass at the anchor.  When a fresh
+    step converged it is that step's pass; otherwise one more pass runs at
+    the anchor.
     """
     basin = 1e-4 * max(p.K_T, p.K_G)
-    x = guess.as_array().astype(float)
+    x = last = fallback = guess.as_array().astype(float)
     residual = math.inf
     prev_residual = ratio = math.nan      # no history yet: every test is False
     iterations = newton_used = clamped = 0
+    newton, a = m is not None, None if m is None else np.eye(3) - m
+    shrink = 1.0                          # the residual at x must fall below shrink * residual
+    from_fresh = False                    # the step to x solved with a fresh matrix
     at_anchor = None                      # the variational pass at the anchor
     while iterations < max_iter and newton_used < max_iter:
-        if newton:
+        if not newton:
+            px = _period_map(p, x, n)
+            iterations += 1
+            residual = float(np.linalg.norm(px - x))
+            x = px
+            if residual < _ORBIT_TOL:
+                break
+            prev_ratio, ratio = ratio, residual / prev_residual if prev_residual else math.nan
+            prev_residual = residual
+            if residual < basin and ratio < 1.0 and abs(ratio - prev_ratio) < 0.05:
+                # the last fixed-point step is the fallback of the first fresh step;
+                # fixed-point steps after a Newton-type step must settle again
+                newton, a, shrink, fallback, prev_residual = True, None, 1.0, x, math.nan
+            continue
+        fresh = a is None
+        if fresh:
             newton_used += 1
             full = monodromy_full(p, VegState.from_array(x), n)
             px = impulse_map(full.pre_fire_state, p).as_array()
-            step_residual = float(np.linalg.norm(px - x))
-            if step_residual < _ORBIT_TOL:
-                # x has no negative component, so it is the anchor
-                residual, at_anchor = step_residual, full
-                break
-            if step_residual >= residual:
-                x, newton = fallback, False
-            else:
-                residual, fallback = step_residual, px
-                try:
-                    delta, on_face = _face_step(np.eye(3) - full.matrix, x, px)
-                except np.linalg.LinAlgError:
-                    x, newton = px, False
-                else:
-                    x = np.maximum(x + delta, 0.0)
-                    clamped += on_face
-            continue
-        px = _period_map(p, x, n)
-        iterations += 1
-        residual = float(np.linalg.norm(px - x))
-        x = px
-        if residual < _ORBIT_TOL:
+            a = np.eye(3) - full.matrix
+        else:
+            iterations += 1
+            try:
+                px = _period_map(p, x, n)
+            except NumericalError:
+                if from_fresh:      # a fresh step overshot: back to fixed-point steps
+                    x, newton = fallback, False
+                else:               # refresh where the map was finite
+                    x, a, shrink = last, None, math.inf
+                continue
+        step_residual = float(np.linalg.norm(px - x))
+        if step_residual < _ORBIT_TOL:
+            # x has no negative component, so it is the anchor
+            residual, at_anchor = step_residual, full if fresh else None
             break
-        prev_ratio, ratio = ratio, residual / prev_residual if prev_residual else math.nan
-        prev_residual = residual
-        if residual < basin and ratio < 1.0 and abs(ratio - prev_ratio) < 0.05:
-            # the last fixed-point step is the fallback of the first Newton step;
-            # fixed-point steps after a Newton step must settle again
-            newton, fallback, prev_residual = True, x, math.nan
+        if step_residual < shrink * residual:
+            last, residual, fallback = x, step_residual, px
+            try:
+                delta, on_face = _face_step(a, x, px)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                x = np.maximum(x + delta, 0.0)
+                clamped += on_face
+                shrink, from_fresh = _CHORD_SHRINK, fresh
+                continue
+        if fresh:           # back to fixed-point steps from the last accepted point
+            x, newton = fallback, False
+        else:               # refresh the monodromy here
+            a, shrink = None, math.inf
     anchor = VegState.from_array(x)
     if at_anchor is None:
         at_anchor = monodromy_full(p, anchor, n)

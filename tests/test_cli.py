@@ -84,6 +84,15 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     assert run(capsys, "classify", "--region", "1", "--set", "nope=1")[0] == 2
 
 
+def test_a_params_file_that_is_not_utf8_is_a_validation_error(tmp_path, capsys):
+    bad = tmp_path / "utf16.params"
+    bad.write_bytes(b"\xff\xfe" + dump_params_text(region_preset(1).params).encode("utf-16-le"))
+    code, out, err = run(capsys, "classify", "--params", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("savanna: validation error: ") and "not UTF-8" in err
+    assert "Traceback" not in err
+
+
 def test_set_repairs_an_invalid_params_file(tmp_path, capsys):
     # the file's values, then the overrides, and only then one checked build
     flat = region_preset(2).params.flat()
@@ -196,6 +205,22 @@ def test_sweep_curves_without_level_is_usage_error(tmp_path, capsys, monkeypatch
     assert "usage error" in err and "--level" in err
     assert out == ""
     assert not grid.exists() and not curve.exists()
+
+
+def test_sweep_non_finite_level_is_usage_error(tmp_path, capsys, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a grid was computed")
+    monkeypatch.setattr(savanna.cli, "scan", no_scan)
+    grid, curve = tmp_path / "grid.csv", tmp_path / "curve.csv"
+    for level in ("nan", "inf", "-inf"):
+        code, out, err = run(capsys, "sweep", "--region", "1",
+                             "--axes", "eta_G:0.1:0.87:5,sigma_NS:-0.029:-0.0155:5",
+                             "--quantity", "rho_t_g", "--level", level,
+                             "--output", str(grid), "--curves", str(curve))
+        assert code == 1, level
+        assert "usage error" in err and "--level" in err
+        assert out == ""
+        assert not grid.exists() and not curve.exists()
 
 
 def test_numerical_failure_exits_3(capsys):

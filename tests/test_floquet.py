@@ -511,14 +511,15 @@ def test_floquet_report_csv_and_verdict():
 
 
 def test_floquet_report_analyses_only_the_located_orbit(monkeypatch):
-    # one variational pass per point: one per Newton step of the coarse
-    # stage, whose last is its anchor's, and one at the anchor the chord
-    # finish converged to, which the report reads.  The
-    # parameters were checked when they were built, so the report checks
-    # nothing; the closed forms are evaluated once and the grassland
+    # one variational pass per point: one per fresh-matrix step, and one at
+    # the anchor of each stage (the coarse stage's feeds the fine stage and
+    # the error estimate, the fine stage's is the one the report reads).
+    # The parameters were checked when they were built, so the report
+    # checks nothing; the closed forms are evaluated once and the grassland
     # cross-check is not run
     p = r1(gamma_S=0.01, gamma_NS=0.01)
     calls = Counter()
+    passed = []
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -528,7 +529,12 @@ def test_floquet_report_analyses_only_the_located_orbit(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(floquet, "_flow_variational")
+    flow = floquet._flow_variational
+
+    def flow_variational(p, anchor, n):
+        passed.append((anchor, n))
+        return flow(p, anchor, n)
+    monkeypatch.setattr(floquet, "_flow_variational", flow_variational)
     counted(floquet, "compute_thresholds")
     for module in (model, thresholds, integrate, floquet):
         for name in ("require_valid", "validate"):
@@ -537,7 +543,8 @@ def test_floquet_report_analyses_only_the_located_orbit(monkeypatch):
     rep = floquet_report(p, n=64)
     assert rep.boundary == "grassland"
     assert rep.diagnostics["converged"] and rep.diagnostics["newton_iterations"] >= 1
-    assert calls["_flow_variational"] == rep.diagnostics["newton_iterations"] + 1
+    assert len(passed) == rep.diagnostics["newton_iterations"] + 2
+    assert len(set(passed)) == len(passed)          # no point gets two passes
     assert calls["require_valid"] == calls["validate"] == 0
     assert calls["compute_thresholds"] == 1
     r1(gamma_S=0.02)                # the counters see its two builds (preset, replace)
@@ -686,20 +693,12 @@ def test_the_fine_stage_finishes_an_unstable_coarse_orbit():
     assert floquet_report(p, n=64).verdict == "unstable"
 
 
-def _count_handovers(monkeypatch):
-    calls = Counter()
-
-    def counted(*args, newton=False, **kwargs):
-        calls[newton] += 1
-        return _locate_at(*args, newton=newton, **kwargs)
-    monkeypatch.setattr(floquet, "_locate_at", counted)
-    return calls
-
-
-# floquet_orbits seed 6, group 53, command 1 (region 2, tau about 4.88): at
-# 16 steps per period the orbit is interior with spectral radius 0.27, at 64
-# it is a grassland orbit with tree multiplier 0.76, so chord steps with the
-# 16-step monodromy do not halve the residual and Newton finishes
+# floquet_orbits seed 6, group 53, command 1 (region 2, tau about 4.88): the
+# 16-step map has a spurious fixed point near (61.35, 0, 2.72) made by the
+# clamp of the pre-fire state (RK4's pre-fire T_NS is -4.69 there), and the
+# first Newton step from the basin crosses to the grassland face, where the
+# residual grows; refreshing the monodromy on the face reaches the grassland
+# orbit at 16 steps, and the fine stage keeps its exact tree zeros
 SLOW_CHORD_CASE = dict(
     tau=4.879537203044667, K_T=85.61138292074708, K_G=8.290794496621718,
     gamma_G=2.5871140736022236, gamma_S=0.5150152417355027,
@@ -710,42 +709,74 @@ SLOW_CHORD_CASE = dict(
     eta_G=0.5993794504876223)
 
 
-def test_a_slow_chord_hands_over_to_newton(monkeypatch):
+def test_a_step_onto_the_grassland_face_refreshes_there():
     p = region_preset(2).params.replace(**SLOW_CHORD_CASE)
     guess = VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G)
-    calls = _count_handovers(monkeypatch)
+    coarse = _locate_at(p, guess, 600, 16)
+    assert coarse.converged and coarse.boundary == "grassland"
+    assert coarse.anchor.t_s == coarse.anchor.t_ns == 0.0
     orbit = locate_savanna_orbit(p, guess, n=64)
-    assert calls == {False: 1, True: 1}         # the coarse stage, then the hand-over
     assert orbit.converged and orbit.boundary == "grassland"
+    assert orbit.anchor.t_s == orbit.anchor.t_ns == 0.0
     assert _same_orbit(orbit, _locate_at(p, guess, 600, 64), p)
 
 
 CHORD_MATRICES = {
-    # every chord step is twice the Newton step, so the residual keeps its
-    # size and the second map hands over
+    # every step is twice the Newton step, so the residual keeps its size
+    # and the second map refreshes the monodromy
     "non-shrinking": lambda m: (np.eye(3) + m) / 2.0,
     # the first step is 1e12 residuals long and the second map diverges, so
-    # Newton starts from the last point whose map was finite
+    # the monodromy is refreshed at the last point whose map was finite
     "diverging": lambda m: (1.0 - 1e-12) * np.eye(3),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CHORD_MATRICES))
-def test_a_failing_chord_hands_over_and_lands_on_the_same_orbit(monkeypatch, case):
-    chord = floquet._chord_finish
-    monkeypatch.setattr(floquet, "_chord_finish", lambda p, start, m, max_iter, n: chord(
-        p, start, CHORD_MATRICES[case](m), max_iter, n))
+def test_a_failing_reused_monodromy_is_refreshed_and_lands_on_the_same_orbit(case):
     p = region_preset(1).params
     guess = VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G)
     direct = _locate_at(p, guess, 600, 64)
-    calls = _count_handovers(monkeypatch)
-    orbit = locate_savanna_orbit(p, guess, n=64)
-    assert calls == {False: 1, True: 1}
     coarse = _locate_at(p, guess, 600, 16)
-    assert orbit.iterations == coarse.iterations + 2       # two chord maps, then Newton
+    orbit = _locate_at(p, coarse.anchor, 600, 64,
+                       CHORD_MATRICES[case](coarse.monodromy.matrix))
+    # two maps with the given matrix, one refresh, one map with its matrix
+    assert (orbit.iterations, orbit.newton_iterations) == (3, 1)
     assert orbit.converged and orbit.interior
     assert _same_orbit(orbit, direct, p)
     assert np.array_equal(orbit.monodromy.matrix, monodromy(p, orbit.anchor, 64))
+
+
+def test_a_fresh_step_whose_map_diverges_falls_back_to_fixed_point_steps(monkeypatch):
+    # the first Newton step overshoots to where the period map diverges; a
+    # refresh at its start would only repeat that pass and that step
+    p = region_preset(1).params
+    guess = VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G)
+    direct = _locate_at(p, guess, 600, 16)
+    face_step, full = floquet._face_step, floquet.monodromy_full
+    steps, passed = [], []
+
+    def first_step_overshoots(a, x, px):
+        steps.append(x)
+        return (np.full(3, 1e3 * p.K_T), False) if len(steps) == 1 else face_step(a, x, px)
+
+    def pass_at(p, anchor, n):
+        passed.append(anchor)
+        return full(p, anchor, n)
+    monkeypatch.setattr(floquet, "_face_step", first_step_overshoots)
+    monkeypatch.setattr(floquet, "monodromy_full", pass_at)
+    orbit = _locate_at(p, guess, 600, 16)
+    assert len(set(passed)) == len(passed)          # no point gets two passes
+    assert orbit.converged and orbit.newton_iterations == 2
+    assert _same_orbit(orbit, direct, p)
+
+
+@pytest.mark.parametrize("region", (1, 2, 3))
+def test_one_fresh_monodromy_finishes_a_preset(region):
+    # from the basin, the first Newton step's monodromy serves every later step
+    p = region_preset(region).params
+    guess = VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G)
+    orbit = _locate_at(p, guess, 600, 16)
+    assert orbit.converged and orbit.newton_iterations == 1
 
 
 def test_location_runs_at_most_two_stages(monkeypatch):

@@ -17,8 +17,10 @@ JSON string.  Run the script in two checkouts and ``diff`` the two files.
 
 With ``--values`` each ``floquet`` line also ends with a JSON object of the
 values parsed from its output (``anchor``, ``rho_tg``, ``verdict``,
-``residual``, ``boundary``), so that two checkouts whose bytes are expected
-to differ in the last digits can be compared numerically.
+``residual``, ``boundary``), and each ``sweep --quantity rho_tg`` line with
+one of its ``cells`` (both axis values and ``rho_tg``, null where the cell is
+undefined), so that two checkouts whose bytes are expected to differ in the
+last digits can be compared numerically.
 
 ``--compare A B`` checks two ``--values`` files line by line.  A ``floquet``
 line whose orbit converged in both (residual below 1e-10) passes when the
@@ -27,7 +29,9 @@ command's parameters, and the boundary, verdict, exit code, level-curve and
 stdout digests and stderr are equal.  An orbit that converged in one file
 only is reported with that file's name, boundary and verdict.  Every other
 line must be identical.  Each mismatch is printed, and the exit code is 1 if
-there is any.
+there is any.  A ``rho_tg`` sweep line that differs is a mismatch too; it is
+printed with whether the two defined masks are equal and the worst
+``|drho_tg|`` over the cells defined in both.
 """
 
 from __future__ import annotations
@@ -80,6 +84,15 @@ def _floquet_values(out: bytes | None) -> dict | None:
     }
 
 
+def _sweep_values(out: bytes | None) -> dict | None:
+    """The cells of a ``sweep`` output: axis values and value, None where undefined."""
+    if out is None:
+        return None
+    rows = [line.split(",") for line in out.decode().splitlines() if not line.startswith("#")]
+    return {"cells": [[float(x), float(y), float(v) if ok == "1" else None]
+                      for x, y, v, ok in rows[1:]]}
+
+
 def _digest(cmd, tmp: Path) -> tuple[str, bytes | None, bytes | None, str, str]:
     """Run one command; returns its exit code, output and curves bytes,
     stdout and stderr.  In stderr the temporary directory reads ``{tmp}``
@@ -103,10 +116,25 @@ def _commands(workload: str, seed: int) -> list:
     return workloads.generate(workload, seed, workloads.SIZES["full"])
 
 
+def _values(fields: list[str]) -> dict | None:
+    """The parsed values a ``--values`` line ends with, else None."""
+    return json.loads(fields[9]) if len(fields) == 10 else None
+
+
 def _located(fields: list[str]) -> dict | None:
     """The parsed values of a ``floquet`` line whose orbit converged, else None."""
-    values = json.loads(fields[9]) if len(fields) == 10 else None
-    return values if values and values["residual"] < CONVERGED else None
+    values = _values(fields)
+    return values if values and values.get("residual", CONVERGED) < CONVERGED else None
+
+
+def _cells_gap(va: dict, vb: dict) -> str:
+    """Whether two ``rho_tg`` sweeps have the same defined mask, and the worst
+    ``rho_tg`` difference over the cells defined in both."""
+    same = [(x, y, v is None) for x, y, v in va["cells"]] == \
+        [(x, y, v is None) for x, y, v in vb["cells"]]
+    gap = max((abs(u[2] - v[2]) for u, v in zip(va["cells"], vb["cells"])
+               if u[2] is not None and v[2] is not None), default=0.0)
+    return f"defined masks {'equal' if same else 'differ'}, worst |drho_tg| {gap:.3g}"
 
 
 def _anchor_gap(fields: list[str], va: dict, vb: dict) -> float:
@@ -138,6 +166,9 @@ def compare(path_a: str, path_b: str) -> int:
         elif va is None:
             if a != b:
                 why = "lines differ"
+                ca, cb = _values(a), _values(b)
+                if ca and cb and "cells" in ca and "cells" in cb:
+                    why += "; " + _cells_gap(ca, cb)
         else:
             gap = _anchor_gap(a, va, vb)
             orbits, worst = orbits + 1, max(worst, gap)
@@ -162,7 +193,8 @@ def main_digests(argv=None) -> int:
     parser.add_argument("seeds", nargs="*", type=int)
     parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=WORKLOADS)
     parser.add_argument("--values", action="store_true",
-                        help="append the parsed values of each floquet output")
+                        help="append the parsed values of each floquet and rho_tg sweep "
+                             "output")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
                         help="compare two --values files instead of writing one")
     args = parser.parse_args(argv)
@@ -184,6 +216,9 @@ def main_digests(argv=None) -> int:
                                   _sha(curves), _sha(stdout.encode()), json.dumps(err)]
                         if args.values and cmd.argv[0] == "floquet":
                             fields.append(json.dumps(_floquet_values(out)))
+                        elif args.values and cmd.argv[0] == "sweep" \
+                                and cmd.opt("--quantity") == "rho_tg":
+                            fields.append(json.dumps(_sweep_values(out)))
                         lines.append("\t".join(fields))
     Path(args.output).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"{len(lines)} commands digested into {args.output}")
