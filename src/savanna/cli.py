@@ -26,6 +26,7 @@ from .model import (
     VegState,
     _param_values,
     _params_from_values,
+    _read_params_text,
     dump_params_text,
     region_preset,
 )
@@ -85,9 +86,10 @@ def _build_parser() -> _Parser:
     p_flo.add_argument("--guess", default=None, metavar="TS,TNS,G",
                        help="initial guess; default 0.1*K_T,0.1*K_T,0.5*K_G")
     p_flo.add_argument("--steps", type=int, default=DEFAULT_STEPS,
-                       help="integration steps per period of the located orbit; above 16, "
-                            "the orbit is first found at 16 steps and then finished at this "
-                            "count")
+                       help="integration steps per period of the located orbit; it is "
+                            "first sought at 16, 64, 256, ... steps below this count, then "
+                            "finished at it; a fixed point that only the clamp of the "
+                            "pre-fire state at 0 makes is a numerical failure (exit 3)")
 
     p_sweep = sub.add_parser("sweep", help="grid scan a quantity, optionally contour it")
     add_params_opts(p_sweep)
@@ -129,13 +131,7 @@ def _load_params(args) -> ModelParams:
     if getattr(args, "region", None) is not None:
         values = region_preset(args.region).params.flat()
     elif getattr(args, "params", None):
-        with open(args.params, "r", encoding="utf-8") as fh:
-            try:
-                text = fh.read()
-            except UnicodeDecodeError as exc:
-                raise ParameterError(f"{args.params}: not UTF-8 text ({exc.reason} at "
-                                     f"byte {exc.start})") from None
-        values = _param_values(text)
+        values = _param_values(_read_params_text(args.params))
     else:
         raise _UsageError("one of --region or --params is required")
     values.update(_parse_overrides(args.overrides))

@@ -30,20 +30,19 @@ carries the pass at its anchor.  A ``ModelParams`` is checked when it is
 built; the public entry points check only the step count.
 
 The step counts do not depend on the steps per period ``n``, but each step
-costs time linear in ``n``.  So for ``n`` above ``_COARSE_STEPS`` (16) the
-location first runs at 16 steps per period from the guess.  When that stage
-converges, its anchor and monodromy ``M16`` are within O(16^-4) of the
-``n``-step ones, and the ``n``-step stage starts its Newton-type steps there
-with ``M16``: one ``n``-step period map each, then one pass at the anchor.
-This works for unstable orbits too.  A coarse stage that stops unconverged
-is followed by the whole location again at ``n`` from its last point.
-``max_iter`` bounds each stage, and the iteration counters are totals over
-all of them, so a per-period-map time derived from them averages 16-step
-and ``n``-step maps.  Only where the 16-step map diverges (it can where the
-``n``-step one does not) does the location run at ``n`` from the guess
-instead.  The two monodromies give ``floquet_report`` a free error estimate
-of ``rho_tg``: RK4 is fourth order, so ``|rho(16) - rho(n)| / ((n/16)^4 -
-1)``.
+costs time linear in ``n``.  So the location climbs a ladder of rungs,
+``16 * 4^k`` steps per period below ``n``, then ``n``, from the guess.  A
+rung that converges sends it straight to ``n`` with its anchor and
+monodromy (within O(rung^-4) of the ``n``-step ones), so each Newton-type
+step there costs one ``n``-step period map, for unstable orbits too.  A
+rung that stops unconverged hands its last point to the next rung; one
+that raises ``NumericalError`` hands on its start.  A rung raises where its
+map diverges, or where its fixed point has an unclamped pre-fire state
+below ``simulate``'s floor: the period map clamps that state at 0 before
+the fire, which makes fixed points with no orbit of the flow behind them.
+At ``n`` the error propagates.  The converged rung's monodromy gives
+``floquet_report`` a free error estimate of ``rho_tg``, as RK4 is fourth
+order: ``|rho(r) - rho(n)| / ((n/r)^4 - 1)`` at ``r`` steps per period.
 
 The spectral radius of the monodromy that the located orbit carries decides
 local stability of the orbit that ``floquet_report`` locates.  The analytic
@@ -73,7 +72,7 @@ from .model import (
     fire_intensity_slope,
     impulse_map,
 )
-from .integrate import _rk4_step
+from .integrate import _UNDERSHOOT_FLOOR, _rk4_step
 from .thresholds import compute_thresholds, grassland_orbit_end
 
 __all__ = [
@@ -84,7 +83,6 @@ __all__ = [
 
 DEFAULT_STEPS = 2048
 _ORBIT_TOL = 1e-10        # period-map residual at which an orbit is located
-_COARSE_STEPS = 16        # steps per period of the first stage of orbit location
 
 
 def _require_steps(n: int) -> None:
@@ -146,7 +144,8 @@ def _variational_rhs(ts, tns, g, f11, f12, f13, f21, f22, f23, f31, f32, f33,
 
 
 def _flow_variational(p: ModelParams, anchor: VegState, n: int):
-    """Returns (pre-fire state, Phi(tau), integral of trace DF along orbit).
+    """Returns (pre-fire state, Phi(tau), integral of trace DF, lowest
+    component of the pre-fire state before its clamp at 0).
 
     Classical RK4 on floats, with the nine entries of ``Phi`` as named
     floats ``fij`` and their stage derivatives as ``uij``, ``vij``, ``wij``
@@ -196,7 +195,7 @@ def _flow_variational(p: ModelParams, anchor: VegState, n: int):
         raise NumericalError("orbit escaped during variational integration")
     pre = VegState(max(ts, 0.0), max(tns, 0.0), max(g, 0.0))
     phi = np.array([[f11, f12, f13], [f21, f22, f23], [f31, f32, f33]])
-    return pre, phi, q
+    return pre, phi, q, min(ts, tns, g)
 
 
 @dataclass(frozen=True)
@@ -205,6 +204,7 @@ class MonodromyResult:
     pre_fire_state: VegState
     fundamental: np.ndarray       # Phi(tau), flow part only
     trace_integral: float         # integral of trace DF over one period
+    unclamped_min: float          # lowest pre-fire component before the clamp at 0
 
 
 def monodromy_full(p: ModelParams, anchor: VegState,
@@ -212,10 +212,10 @@ def monodromy_full(p: ModelParams, anchor: VegState,
     """One variational pass from ``anchor``: the monodromy with the pre-fire
     state, ``Phi(tau)`` and the trace integral it came from."""
     _require_steps(n)
-    pre, phi, q = _flow_variational(p, anchor, n)
+    pre, phi, q, low = _flow_variational(p, anchor, n)
     m = jump_jacobian(pre, p) @ phi
     return MonodromyResult(matrix=m, pre_fire_state=pre, fundamental=phi,
-                           trace_integral=q)
+                           trace_integral=q, unclamped_min=low)
 
 
 def monodromy(p: ModelParams, anchor: VegState, n: int = DEFAULT_STEPS) -> np.ndarray:
@@ -252,7 +252,8 @@ class OrbitResult:
     boundary: str | None          # "desert"/"forest"/"grassland" if not interior
     clamped: int                  # Newton-type steps that ended on a face
     monodromy: MonodromyResult    # the variational pass at ``anchor``
-    coarse_monodromy: MonodromyResult | None   # the coarse stage's, if it ran
+    coarse_monodromy: MonodromyResult | None   # the converged coarse rung's pass
+    coarse_steps: int | None      # that rung's steps per period
 
     @property
     def interior(self) -> bool:
@@ -289,26 +290,11 @@ def locate_savanna_orbit(p: ModelParams, guess: VegState, *, max_iter: int = 600
                          n: int = DEFAULT_STEPS) -> OrbitResult:
     """Find a fixed point of the period map (flow over one period, then fire).
 
-    For ``n`` above ``_COARSE_STEPS`` (16) the location runs in two stages.
-    ``_locate_at`` first heads for the ``_COARSE_STEPS``-step fixed point
-    from ``guess``, then runs again at ``n`` from that stage's last point.
-    When the coarse stage converged, the ``n``-step stage starts with its
-    Newton-type steps and the coarse monodromy ``M16`` (one period map each,
-    no variational pass until a step fails to halve the residual);
-    otherwise it starts with fixed-point steps.  The returned anchor,
-    residual, boundary and ``monodromy`` are the ``n``-step stage's, so the
-    orbit is the ``n``-step fixed point to ``_ORBIT_TOL``; only the path to
-    it changes.  ``iterations``, ``newton_iterations`` and ``clamped`` are
-    totals over both stages (so per-step costs averaged from them mix
-    ``_COARSE_STEPS``-step and ``n``-step maps), ``max_iter`` bounds each
-    stage on its own, and ``coarse_monodromy`` holds the coarse stage's pass
-    at its anchor when that stage converged (None otherwise).  When ``n <=
-    _COARSE_STEPS``, or when the coarse stage diverges (a 16-step RK4 period
-    map can diverge where the ``n``-step one does not), the result is
-    ``_locate_at`` at ``n`` from ``guess``, with ``coarse_monodromy`` None;
-    its counters leave out the diverged stage.
-
-    The existence warning is issued once per call, whatever path runs.
+    ``_locate_at`` runs on each rung of the ladder (module docstring) in
+    turn.  The anchor, residual, boundary and ``monodromy`` are the
+    ``n``-step rung's; ``iterations``, ``newton_iterations`` and ``clamped``
+    are totals over the rungs that returned, and ``max_iter`` bounds each
+    rung.  The existence warning is issued once per call.
     """
     rep = compute_thresholds(p)
     _require_steps(n)
@@ -318,17 +304,25 @@ def locate_savanna_orbit(p: ModelParams, guess: VegState, *, max_iter: int = 600
             " when mu_G > 0); attempting orbit location anyway",
             stacklevel=2,
         )
-    try:
-        coarse = _locate_at(p, guess, max_iter, _COARSE_STEPS) if n > _COARSE_STEPS else None
-    except NumericalError:
-        coarse = None
-    if coarse is None:
-        return _locate_at(p, guess, max_iter, n)
-    found = coarse.monodromy if coarse.converged else None
-    fine = _locate_at(p, coarse.anchor, max_iter, n, None if found is None else found.matrix)
-    return replace(fine, iterations=coarse.iterations + fine.iterations,
-                   newton_iterations=coarse.newton_iterations + fine.newton_iterations,
-                   clamped=coarse.clamped + fine.clamped, coarse_monodromy=found)
+    start, m, steps, done, coarse, coarse_steps = guess, None, 16, [], None, None
+    while True:
+        rung = min(steps, n)
+        try:
+            orbit = _locate_at(p, start, max_iter, rung, m)
+        except NumericalError:
+            if rung == n:
+                raise
+            steps *= 4
+            continue
+        done.append(orbit)
+        if rung == n:
+            return replace(orbit, iterations=sum(o.iterations for o in done),
+                           newton_iterations=sum(o.newton_iterations for o in done),
+                           clamped=sum(o.clamped for o in done),
+                           coarse_monodromy=coarse, coarse_steps=coarse_steps)
+        start, steps = orbit.anchor, 4 * steps
+        if orbit.converged:
+            coarse, coarse_steps, m, steps = orbit.monodromy, rung, orbit.monodromy.matrix, n
 
 
 def _face_step(a, x, px):
@@ -395,7 +389,9 @@ def _locate_at(p: ModelParams, guess: VegState, max_iter: int, n: int,
 
     ``monodromy`` holds the variational pass at the anchor.  When a fresh
     step converged it is that step's pass; otherwise one more pass runs at
-    the anchor.
+    the anchor.  A located point whose pre-fire state there is below
+    ``simulate``'s floor before the clamp at 0 is not an orbit of the flow:
+    it raises ``NumericalError``.
     """
     basin = 1e-4 * max(p.K_T, p.K_G)
     x = last = fallback = guess.as_array().astype(float)
@@ -460,6 +456,10 @@ def _locate_at(p: ModelParams, guess: VegState, max_iter: int, n: int,
     anchor = VegState.from_array(x)
     if at_anchor is None:
         at_anchor = monodromy_full(p, anchor, n)
+    low = at_anchor.unclamped_min
+    if residual < _ORBIT_TOL and low < -_UNDERSHOOT_FLOOR * max(p.K_T, p.K_G):
+        raise NumericalError(f"the fixed point at {n} steps per period is not an orbit: its "
+                             f"pre-fire state has a component of {low:.3g} before the clamp")
     return OrbitResult(
         anchor=anchor,
         converged=residual < _ORBIT_TOL,
@@ -470,6 +470,7 @@ def _locate_at(p: ModelParams, guess: VegState, max_iter: int, n: int,
         clamped=clamped,
         monodromy=at_anchor,
         coarse_monodromy=None,
+        coarse_steps=None,
     )
 
 
@@ -559,12 +560,12 @@ def floquet_report(p: ModelParams, guess: VegState | None = None,
     and stability verdict.  Only the located orbit is analysed; the analytic
     grassland cross-check is ``grassland_agreement``.
 
-    ``diagnostics`` holds the location's counters (totals over both stages),
-    ``coarse_steps`` (``_COARSE_STEPS``, or None when the coarse stage did
-    not run, diverged or did not converge) and ``rho_tg_error``, the error
-    estimate of ``rho_tg`` from the converged coarse stage's monodromy
-    (None without one).  ``cubic_eigenvalues`` runs once, on the located
-    orbit's monodromy; the coarse radius feeds only the error estimate."""
+    ``diagnostics`` holds the location's counters (totals over its rungs),
+    ``coarse_steps`` (the converged coarse rung's steps per period, or None
+    without one) and ``rho_tg_error``, the error estimate of ``rho_tg`` from
+    that rung's monodromy (None without one).  ``cubic_eigenvalues`` runs
+    once, on the located orbit's monodromy; the coarse radius feeds only the
+    error estimate."""
     if guess is None:
         guess = VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G)
     orbit = locate_savanna_orbit(p, guess, n=n)
@@ -576,15 +577,14 @@ def floquet_report(p: ModelParams, guess: VegState | None = None,
         "iterations": orbit.iterations,
         "newton_iterations": orbit.newton_iterations,
         "clamped": orbit.clamped,
-        "coarse_steps": None,
+        "coarse_steps": orbit.coarse_steps,
         "rho_tg_error": None,
     }
     if orbit.coarse_monodromy is not None:
-        # RK4 is fourth order: rho(h) = rho + C h^4, so rho(16) - rho(n) is
-        # (n/16)^4 - 1 times the error of rho(n)
+        # RK4 is fourth order: rho(h) = rho + C h^4, so rho(r) - rho(n) is
+        # (n/r)^4 - 1 times the error of rho(n)
         coarse_rho = float(np.max(np.abs(np.linalg.eigvals(orbit.coarse_monodromy.matrix))))
-        diagnostics["coarse_steps"] = _COARSE_STEPS
-        diagnostics["rho_tg_error"] = abs(coarse_rho - rho) / ((n / _COARSE_STEPS) ** 4 - 1.0)
+        diagnostics["rho_tg_error"] = abs(coarse_rho - rho) / ((n / orbit.coarse_steps) ** 4 - 1.0)
     return FloquetReport(
         anchor=orbit.anchor, monodromy=m, multipliers=eigs, rho_tg=rho,
         verdict=_verdict(rho), residual=orbit.residual, boundary=orbit.boundary,

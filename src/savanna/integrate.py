@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 MAX_SAMPLES = 10**7     # horizon / h; each kept sample holds a VegState
+_UNDERSHOOT_FLOOR = 1e-9  # a state below -this * max(K_T, K_G) has left the feasible region
 
 
 @dataclass(frozen=True)
@@ -189,10 +190,10 @@ def simulate(p: ModelParams, s0: VegState, horizon: float, h: float,
     are grid nodes; the effective step is recorded on the trajectory.  Output
     is deterministic for identical inputs.
     """
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    if h <= 0:
-        raise ValueError(f"step must be positive, got {h}")
+    if not (horizon > 0 and math.isfinite(horizon)):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError(f"step h must be positive and finite, got {h}")
     if scheme not in ("nsfd", "reference"):
         raise ValueError(f"unknown scheme {scheme!r}")
     if not horizon / h <= MAX_SAMPLES:
@@ -208,7 +209,7 @@ def simulate(p: ModelParams, s0: VegState, horizon: float, h: float,
     remainder = horizon - n_periods * p.tau
     if remainder < 1e-9 * p.tau:
         remainder = 0.0
-    floor = 1e-9 * max(p.K_T, p.K_G)
+    floor = _UNDERSHOOT_FLOOR * max(p.K_T, p.K_G)
 
     ts, tns, g = s0.t_s, s0.t_ns, s0.g
     samples: list[tuple[float, VegState]] = [(0.0, VegState(ts, tns, g))]

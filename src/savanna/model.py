@@ -417,9 +417,19 @@ def parse_params_text(text: str) -> ModelParams:
     return _params_from_values(_param_values(text))
 
 
-def load_params_file(path) -> ModelParams:
+def _read_params_text(path) -> str:
+    """The text of a parameter file; a file that is not UTF-8 is a
+    ``ParameterError``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_params_text(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParameterError(f"{path}: not UTF-8 text ({exc.reason} at "
+                                 f"byte {exc.start})") from None
+
+
+def load_params_file(path) -> ModelParams:
+    return parse_params_text(_read_params_text(path))
 
 
 def dump_params_text(p: ModelParams) -> str:

@@ -59,3 +59,36 @@ def draw_state_in_omega(rng: np.random.Generator, p: ModelParams):
     t_s = u[0] * p.K_T
     t_ns = u[1] * (p.K_T - t_s)
     return VegState(float(t_s), float(t_ns), float(u[2] * p.K_G))
+
+
+# floquet_orbits seed/group/command 1/84/0, 2/38/1 and 3/53/0, as (region,
+# parameters): the 16-step period map has a fixed point off the faces that
+# only the clamp of the pre-fire state at 0 makes (RK4's unclamped pre-fire
+# T_NS is -1.49, -3.99 and -0.064 there); the 64-step orbit is the
+# grassland orbit
+CLAMP_CASES = {
+    "1/84/0": (1, dict(
+        tau=19.016168293048672, K_T=30.0, K_G=4.387645284923421,
+        gamma_G=1.3435041846771612, gamma_S=0.4786760641605555,
+        gamma_NS=0.2607329658768129, mu_NS=0.22714165178992113,
+        sigma_G=0.9661117291040304, sigma_NS=-0.015616085756618969,
+        mu_S=0.008835751478313902, omega_S=0.19736893703638858,
+        mu_G=0.4570404256759141, eta_S=0.11234928848502058,
+        eta_G=0.6983326866237045)),
+    "2/38/1": (2, dict(
+        tau=4.737202200239196, K_T=86.50269113388232, K_G=7.261206652306837,
+        gamma_G=3.195368881447244, gamma_S=0.5810415879313708,
+        gamma_NS=1.9749512469462474, mu_NS=0.08104397560193538,
+        sigma_G=1.4790993186965213, sigma_NS=-0.02460285824180222,
+        mu_S=0.11435460525426329, omega_S=0.1455428398481229,
+        mu_G=0.11929288858839153, eta_S=0.09730457504428834,
+        eta_G=0.22082598585539115)),
+    "3/53/0": (1, dict(
+        tau=14.54053826130488, K_T=30.0, K_G=4.493328841483766,
+        gamma_G=1.284549920783062, gamma_S=0.3401767713510956,
+        gamma_NS=0.47409581098237874, mu_NS=0.12135370651203235,
+        sigma_G=0.8261326386655197, sigma_NS=-0.020463529389475845,
+        mu_S=0.289913026333972, omega_S=0.16549950340066766,
+        mu_G=0.24097180969972376, eta_S=0.5833007109203829,
+        eta_G=0.23461071696743546)),
+}

@@ -6,6 +6,7 @@ from pathlib import Path
 import savanna
 from savanna import cli, dump_params_text, region_preset
 from savanna.cli import main
+from draws import CLAMP_CASES
 
 SRC = Path(savanna.__file__).resolve().parent.parent
 
@@ -230,6 +231,13 @@ def test_numerical_failure_exits_3(capsys):
                        "--scheme", "reference", "--h", "0.45", "--horizon", "20")
     assert code == 3
     assert "numerical failure" in err
+    # a 16-step fixed point that only the pre-fire clamp makes is not an orbit
+    for case, (region, values) in sorted(CLAMP_CASES.items()):
+        sets = [a for k, v in values.items() for a in ("--set", f"{k}={v!r}")]
+        code, out, err = run(capsys, "floquet", "--region", str(region), *sets,
+                             "--steps", "16")
+        assert code == 3 and out == "", case
+        assert "numerical failure: the fixed point at 16 steps per period is not an orbit" in err
 
 
 def run_process(*argv):
@@ -288,9 +296,20 @@ def test_level_curve_through_huge_values_prints_no_warning(tmp_path):
 def test_simulate_rejects_more_samples_than_the_cap():
     from savanna.integrate import MAX_SAMPLES
     assert MAX_SAMPLES >= 100 * 10**5      # far above a 1000 y run at h = 0.01
-    for horizon, h in (("1e9", "1e-9"), ("1", "1e-320"), ("nan", "0.01"), ("10", "nan")):
+    for horizon, h in (("1e9", "1e-9"), ("1", "1e-320")):
         proc = run_process("simulate", "--region", "2", "--horizon", horizon, "--h", h)
         assert proc.returncode == 1
-        assert "savanna: usage error:" in proc.stderr
+        assert "savanna: usage error:" in proc.stderr and "the cap is" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+
+def test_simulate_rejects_a_non_finite_horizon_or_step(capsys):
+    for horizon, h, message in (("nan", "0.01", "horizon must be positive and finite, got nan"),
+                                ("inf", "0.01", "horizon must be positive and finite, got inf"),
+                                ("10", "nan", "step h must be positive and finite, got nan"),
+                                ("10", "inf", "step h must be positive and finite, got inf")):
+        code, out, err = run(capsys, "simulate", "--region", "2", "--horizon", horizon,
+                             "--h", h)
+        assert (code, out) == (1, ""), (horizon, h)
+        assert err == f"savanna: usage error: {message}\n"

@@ -30,7 +30,7 @@ from savanna import floquet, integrate, model, thresholds
 from savanna.floquet import _locate_at, _period_map
 from savanna.model import NumericalError
 from savanna.thresholds import ThresholdError
-from draws import draw_region_params, draw_state_in_omega, draw_valid_params
+from draws import CLAMP_CASES, draw_region_params, draw_state_in_omega, draw_valid_params
 
 
 def r1(**over):
@@ -512,8 +512,8 @@ def test_floquet_report_csv_and_verdict():
 
 def test_floquet_report_analyses_only_the_located_orbit(monkeypatch):
     # one variational pass per point: one per fresh-matrix step, and one at
-    # the anchor of each stage (the coarse stage's feeds the fine stage and
-    # the error estimate, the fine stage's is the one the report reads).
+    # the anchor of each rung (the coarse rung's feeds the n-step rung and
+    # the error estimate, the n-step rung's is the one the report reads).
     # The parameters were checked when they were built, so the report
     # checks nothing; the closed forms are evaluated once and the grassland
     # cross-check is not run
@@ -635,7 +635,7 @@ def test_located_orbit_carries_the_monodromy_at_its_anchor(case):
 
 
 # ---------------------------------------------------------------------------
-# coarse-to-fine location
+# the rung ladder
 # ---------------------------------------------------------------------------
 
 def _same_orbit(a, b, p):
@@ -645,7 +645,7 @@ def _same_orbit(a, b, p):
 
 
 def test_coarse_to_fine_lands_on_the_direct_orbit():
-    # the two-stage path only changes how the n-step fixed point is reached
+    # the ladder only changes how the n-step fixed point is reached
     rng = np.random.default_rng(31)
     for k in range(12):
         p = draw_region_params(rng, k % 3 + 1, interval_only=False)
@@ -672,7 +672,7 @@ DIVERGING_COARSE_CASE = dict(
 
 
 # floquet_orbits seed 2, group 70, command 2 (region 3): an unstable
-# interior orbit, rho_tg about 1.012, that the coarse stage converges to
+# interior orbit, rho_tg about 1.012, that the 16-step rung converges to
 UNSTABLE_CASE = dict(
     tau=1.5852931219012145, K_T=113.36959796141923, K_G=16.42691531881782,
     gamma_G=3.6323505437211674, gamma_S=2.5344849286002638,
@@ -698,7 +698,7 @@ def test_the_fine_stage_finishes_an_unstable_coarse_orbit():
 # clamp of the pre-fire state (RK4's pre-fire T_NS is -4.69 there), and the
 # first Newton step from the basin crosses to the grassland face, where the
 # residual grows; refreshing the monodromy on the face reaches the grassland
-# orbit at 16 steps, and the fine stage keeps its exact tree zeros
+# orbit at 16 steps, and the 64-step rung keeps its exact tree zeros
 SLOW_CHORD_CASE = dict(
     tau=4.879537203044667, K_T=85.61138292074708, K_G=8.290794496621718,
     gamma_G=2.5871140736022236, gamma_S=0.5150152417355027,
@@ -813,6 +813,26 @@ def test_a_diverging_coarse_stage_falls_back_to_the_direct_path():
     orbit = locate_savanna_orbit(p, guess, n=64)
     assert orbit.converged
     _assert_identical(orbit, _locate_at(p, guess, 600, 64))
+    # at n=256 the 64-step rung takes over from the guess and converges
+    orbit = locate_savanna_orbit(p, guess, n=256)
+    assert orbit.converged and orbit.coarse_steps == 64
+    assert _same_orbit(orbit, _locate_at(p, guess, 600, 256), p)
+
+
+@pytest.mark.parametrize("case", sorted(CLAMP_CASES))
+def test_a_fixed_point_of_the_clamp_is_refused(case):
+    region, values = CLAMP_CASES[case]
+    p = region_preset(region).params.replace(**values)
+    guess = VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(NumericalError, match="16 steps per period is not an orbit"):
+            locate_savanna_orbit(p, guess, n=16)
+        # the refused 16-step rung hands the guess to the 64-step one
+        orbit = locate_savanna_orbit(p, guess, n=64)
+    assert orbit.converged and orbit.boundary == "grassland"
+    assert orbit.coarse_steps is orbit.coarse_monodromy is None
+    assert _same_orbit(orbit, _locate_at(p, guess, 600, 64), p)
 
 
 def test_no_coarse_stage_at_or_below_its_step_count():
@@ -826,8 +846,8 @@ def test_no_coarse_stage_at_or_below_its_step_count():
 def test_existence_warning_is_issued_once_per_call():
     p = r1(mu_G=0.9)  # r_g0 < 1
     guess = VegState(1.0, 1.0, 1.0)
-    # max_iter=5: the coarse stage does not converge and the fine stage
-    # starts from its last point; 600: both stages converge
+    # max_iter=5: the 16-step rung does not converge and the 64-step rung
+    # starts from its last point; 600: both rungs converge
     for max_iter in (5, 600):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -839,8 +859,10 @@ def test_existence_warning_is_issued_once_per_call():
 def test_rho_tg_error_estimate_tracks_the_true_error(region):
     p = region_preset(region).params
     rep = floquet_report(p, n=64)
-    assert rep.diagnostics["coarse_steps"] == 16
+    r = rep.diagnostics["coarse_steps"]
     true_error = abs(rep.rho_tg - floquet_report(p, n=1024).rho_tg)
+    coarse_error = abs(floquet_report(p, n=r).rho_tg - rep.rho_tg) / ((64 / r) ** 4 - 1.0)
+    assert rep.diagnostics["rho_tg_error"] == pytest.approx(coarse_error, rel=1e-6)
     assert 0.5 * true_error < rep.diagnostics["rho_tg_error"] < 2.0 * true_error
     direct = floquet_report(p, n=16).diagnostics
     assert direct["coarse_steps"] is direct["rho_tg_error"] is None

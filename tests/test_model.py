@@ -14,6 +14,7 @@ from savanna import (
     fire_intensity_slope,
     impulse_map,
     in_omega,
+    load_params_file,
     parse_params_text,
     region_preset,
     validate,
@@ -267,6 +268,17 @@ def test_params_text_comments_and_defaults():
     p = parse_params_text(text)
     assert p.fire.g0 == pytest.approx(p.K_G / 2)
     assert p.fire.alpha == 2
+
+
+def test_params_file_must_be_utf8_text(tmp_path):
+    p = region_preset(3).params
+    good = tmp_path / "good.params"
+    good.write_text(dump_params_text(p), encoding="utf-8")
+    assert load_params_file(good) == p
+    bad = tmp_path / "bad.params"
+    bad.write_bytes(dump_params_text(p).encode() + b"# \xff\n")
+    with pytest.raises(ParameterError, match="not UTF-8 text"):
+        load_params_file(bad)
 
 
 def test_params_text_rejects_unknown_and_malformed():
