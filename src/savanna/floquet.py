@@ -12,35 +12,37 @@ per stage; its state update is the period map's, bit for bit.
 ``locate_savanna_orbit`` finds the fixed point of the period map (flow, then
 fire) by fixed-point iteration until the residual is below
 ``1e-4 * max(K_T, K_G)`` and the contraction ratio has settled, then by
-Newton-type steps.  The tight switch keeps Newton from jumping to a
-neighbouring orbit.  The first step takes the monodromy from one
-variational pass; each later step solves with the last monodromy at hand
-and costs one period map, and the monodromy is refreshed by another pass
-only when a step fails to halve the residual (a chord iteration with
-refresh; Kelley, *Iterative Methods for Linear and Nonlinear Equations*,
-SIAM 1995, section 5.4).  The zero sets of the trees (``T_S = T_NS = 0``)
-and of the grass (``G = 0``) are invariant faces of the period map, and the
-grassland and forest orbits lie on them: a step that would cross a face, or
-that starts on one the period map keeps, ends on it, with the rest of the
-step solved there (a projected Newton step; Bertsekas, SIAM J. Control
-Optim. 20, 1982), so those orbits are reached in a few steps and their
-zeros are exact.  The period map runs the same float kernels as the
-variational pass, and every point gets at most one pass: the located orbit
-carries the pass at its anchor.  A ``ModelParams`` is checked when it is
-built; the public entry points check only the step count.
+Newton steps.  The tight switch keeps Newton from jumping to a neighbouring
+orbit.  Each Newton point is evaluated by one variational pass, which gives
+both the period map there and the monodromy that the step from it solves
+with (Kelley, *Iterative Methods for Linear and Nonlinear Equations*, SIAM
+1995, chapter 5).  A first pass that does not shrink the residual, a pass
+that diverges or a singular solve sends the location back to fixed-point
+steps.  The zero sets of the trees (``T_S = T_NS = 0``) and of the grass
+(``G = 0``) are invariant faces of the period map, and the grassland and
+forest orbits lie on them: a step that would cross a face, or that starts
+on one the period map keeps, ends on it, with the rest of the step solved
+there (a projected Newton step; Bertsekas, SIAM J. Control Optim. 20,
+1982), so those orbits are reached in a few steps and their zeros are
+exact.  The period map runs the same float kernels as the variational
+pass, and every point gets at most one pass: the located orbit carries the
+pass at its anchor, which is its last Newton pass when that pass showed
+convergence.  A ``ModelParams`` is checked when it is built; the public
+entry points check only the step count.
 
 The step counts do not depend on the steps per period ``n``, but each step
 costs time linear in ``n``.  So the location climbs a ladder of rungs,
 ``16 * 4^k`` steps per period below ``n``, then ``n``, from the guess.  A
 rung that converges sends it straight to ``n`` with its anchor and
-monodromy (within O(rung^-4) of the ``n``-step ones), so each Newton-type
-step there costs one ``n``-step period map, for unstable orbits too.  A
-rung that stops unconverged hands its last point to the next rung; one
-that raises ``NumericalError`` hands on its start.  A rung raises where its
-map diverges, or where its fixed point has an unclamped pre-fire state
-below ``simulate``'s floor: the period map clamps that state at 0 before
-the fire, which makes fixed points with no orbit of the flow behind them.
-At ``n`` the error propagates.  The converged rung's monodromy gives
+monodromy (within O(rung^-4) of the ``n``-step ones): that anchor costs one
+``n``-step period map, its step solves with that monodromy, and each later
+point costs one ``n``-step pass, for unstable orbits too.  A rung that
+stops unconverged hands its last point to the next rung; one that raises
+``NumericalError`` hands on its start.  A rung raises where its map
+diverges, or where its fixed point has an unclamped pre-fire state below
+``simulate``'s floor: the period map clamps that state at 0 before the
+fire, which makes fixed points with no orbit of the flow behind them.  At
+``n`` the error propagates.  The converged rung's monodromy gives
 ``floquet_report`` a free error estimate of ``rho_tg``, as RK4 is fourth
 order: ``|rho(r) - rho(n)| / ((n/r)^4 - 1)`` at ``r`` steps per period.
 
@@ -247,10 +249,10 @@ class OrbitResult:
     anchor: VegState
     converged: bool
     residual: float
-    iterations: int               # period maps outside variational passes
-    newton_iterations: int        # fresh-matrix steps, one variational pass each
+    iterations: int               # period maps: fixed-point steps and the map at a given monodromy
+    newton_iterations: int        # Newton points, one variational pass each
     boundary: str | None          # "desert"/"forest"/"grassland" if not interior
-    clamped: int                  # Newton-type steps that ended on a face
+    clamped: int                  # Newton steps that ended on a face
     monodromy: MonodromyResult    # the variational pass at ``anchor``
     coarse_monodromy: MonodromyResult | None   # the converged coarse rung's pass
     coarse_steps: int | None      # that rung's steps per period
@@ -348,9 +350,6 @@ def _face_step(a, x, px):
     return delta, bool(zero)
 
 
-_CHORD_SHRINK = 0.5       # a reused-matrix step must cut the residual below this share
-
-
 def _locate_at(p: ModelParams, guess: VegState, max_iter: int, n: int,
                m: np.ndarray | None = None) -> OrbitResult:
     """One location of the ``n``-step fixed point from ``guess``.
@@ -363,45 +362,40 @@ def _locate_at(p: ModelParams, guess: VegState, max_iter: int, n: int,
     (a forest instead of a grassland orbit, say).  A monodromy ``m``, when
     given, skips that phase: its steps start at ``guess``.
 
-    Newton-type steps on ``P(x) - x = 0`` then finish the location (Kelley,
+    Newton steps on ``P(x) - x = 0`` then finish the location (Kelley,
     *Iterative Methods for Linear and Nonlinear Equations*, SIAM 1995,
-    section 5.4).  Each solves with ``I - M`` for the last monodromy ``M``
-    at hand, through ``_face_step``: a step that would cross the tree or the
+    chapter 5).  Each point is evaluated by one variational pass, which
+    gives both ``P(x)`` and the monodromy ``M`` that the step from ``x``
+    solves with, ``I - M``.  The one exception is a given ``m``: ``guess``
+    is evaluated by one period map, and its step solves with ``I - m``.
+    Steps go through ``_face_step``: a step that would cross the tree or the
     grass face, or that starts on a face the period map keeps, ends on that
     face and is counted in ``clamped``; any other component the step leaves
-    negative is set to 0.  A step with a reused ``M`` costs one period map;
-    a fresh step costs one variational pass at ``x``, which gives both
-    ``P(x)`` and a new ``M``.  A reused-``M`` step must bring the residual
-    below ``_CHORD_SHRINK`` (1/2) times the last accepted one.  If it does
-    not, or if its solve is singular, ``M`` is refreshed at ``x`` and a
-    fresh step is taken from there whatever its residual; if its period map
-    diverges, the refresh runs at the last point whose map was finite.  The
-    first fresh step after fixed-point steps must shrink the residual: if it
-    does not, if a fresh solve is singular, or if the period map after a
-    fresh step diverges, the iteration goes back to a plain fixed-point step
-    from the last accepted point and must settle again before the next
-    Newton-type step.
+    negative is set to 0.  The first pass after fixed-point steps must bring
+    the residual below the last fixed-point residual; every later point is
+    kept whatever its residual.  If that first pass does not shrink the
+    residual, if a pass raises ``NumericalError`` or if a solve is singular,
+    the iteration goes back to fixed-point steps from the image of the last
+    accepted point, and they must settle again before the next Newton step.
     Convergence to a boundary solution is reported by name, not as an
     error.  The orbit is located when the residual is below ``_ORBIT_TOL``
-    (1e-10).  ``iterations`` counts the period maps (fixed-point and
-    reused-``M`` steps) and ``newton_iterations`` the fresh steps, and each
-    stops at ``max_iter``.
+    (1e-10).  ``iterations`` counts the period maps (fixed-point steps and
+    the map at a given ``m``) and ``newton_iterations`` the passes at Newton
+    points, and each stops at ``max_iter``.
 
-    ``monodromy`` holds the variational pass at the anchor.  When a fresh
-    step converged it is that step's pass; otherwise one more pass runs at
-    the anchor.  A located point whose pre-fire state there is below
-    ``simulate``'s floor before the clamp at 0 is not an orbit of the flow:
-    it raises ``NumericalError``.
+    ``monodromy`` holds the variational pass at the anchor: the last Newton
+    pass when it showed convergence, else one more pass at the anchor (after
+    a period map showed convergence, or when ``max_iter`` ran out).  A
+    located point whose pre-fire state there is below ``simulate``'s floor
+    before the clamp at 0 is not an orbit of the flow: it raises
+    ``NumericalError``.
     """
     basin = 1e-4 * max(p.K_T, p.K_G)
-    x = last = fallback = guess.as_array().astype(float)
-    residual = math.inf
+    x = fallback = guess.as_array().astype(float)
+    residual = bound = math.inf           # a Newton point is kept if its residual is below bound
     prev_residual = ratio = math.nan      # no history yet: every test is False
     iterations = newton_used = clamped = 0
-    newton, a = m is not None, None if m is None else np.eye(3) - m
-    shrink = 1.0                          # the residual at x must fall below shrink * residual
-    from_fresh = False                    # the step to x solved with a fresh matrix
-    at_anchor = None                      # the variational pass at the anchor
+    newton, at_anchor = m is not None, None
     while iterations < max_iter and newton_used < max_iter:
         if not newton:
             px = _period_map(p, x, n)
@@ -413,46 +407,32 @@ def _locate_at(p: ModelParams, guess: VegState, max_iter: int, n: int,
             prev_ratio, ratio = ratio, residual / prev_residual if prev_residual else math.nan
             prev_residual = residual
             if residual < basin and ratio < 1.0 and abs(ratio - prev_ratio) < 0.05:
-                # the last fixed-point step is the fallback of the first fresh step;
-                # fixed-point steps after a Newton-type step must settle again
-                newton, a, shrink, fallback, prev_residual = True, None, 1.0, x, math.nan
+                # the last fixed-point step is the fallback of the first pass;
+                # fixed-point steps after a Newton step must settle again
+                newton, bound, fallback, prev_residual = True, residual, x, math.nan
             continue
-        fresh = a is None
-        if fresh:
-            newton_used += 1
-            full = monodromy_full(p, VegState.from_array(x), n)
-            px = impulse_map(full.pre_fire_state, p).as_array()
-            a = np.eye(3) - full.matrix
-        else:
-            iterations += 1
-            try:
-                px = _period_map(p, x, n)
-            except NumericalError:
-                if from_fresh:      # a fresh step overshot: back to fixed-point steps
-                    x, newton = fallback, False
-                else:               # refresh where the map was finite
-                    x, a, shrink = last, None, math.inf
-                continue
-        step_residual = float(np.linalg.norm(px - x))
-        if step_residual < _ORBIT_TOL:
-            # x has no negative component, so it is the anchor
-            residual, at_anchor = step_residual, full if fresh else None
-            break
-        if step_residual < shrink * residual:
-            last, residual, fallback = x, step_residual, px
-            try:
-                delta, on_face = _face_step(a, x, px)
-            except np.linalg.LinAlgError:
-                pass
+        try:
+            if m is None:
+                newton_used += 1
+                full = monodromy_full(p, VegState.from_array(x), n)
+                px, a = impulse_map(full.pre_fire_state, p).as_array(), np.eye(3) - full.matrix
             else:
+                iterations += 1
+                full, px, a, m = None, _period_map(p, x, n), np.eye(3) - m, None
+            step_residual = float(np.linalg.norm(px - x))
+            if step_residual < _ORBIT_TOL:
+                # x has no negative component, so it is the anchor
+                residual, at_anchor = step_residual, full
+                break
+            if step_residual < bound:
+                residual, bound, fallback = step_residual, math.inf, px
+                delta, on_face = _face_step(a, x, px)
                 x = np.maximum(x + delta, 0.0)
                 clamped += on_face
-                shrink, from_fresh = _CHORD_SHRINK, fresh
                 continue
-        if fresh:           # back to fixed-point steps from the last accepted point
-            x, newton = fallback, False
-        else:               # refresh the monodromy here
-            a, shrink = None, math.inf
+        except (NumericalError, np.linalg.LinAlgError):
+            pass
+        x, newton = fallback, False       # back to fixed-point steps
     anchor = VegState.from_array(x)
     if at_anchor is None:
         at_anchor = monodromy_full(p, anchor, n)

@@ -92,3 +92,16 @@ CLAMP_CASES = {
         mu_G=0.24097180969972376, eta_S=0.5833007109203829,
         eta_G=0.23461071696743546)),
 }
+
+
+# floquet_orbits seed/group/command 10/77/1, as (region, parameters): an
+# interior orbit with rho_tg 0.998 at 64 steps per period, so a residual
+# below 1e-10 can leave a point about 500 residuals from the fixed point
+ANCHOR_CASE = (2, dict(
+    tau=3.5464802491996688, K_T=87.35524162827708, K_G=7.009614418210316,
+    gamma_G=3.1424606944400137, gamma_S=0.472599907556714,
+    gamma_NS=2.38636555707415, mu_NS=0.08862735632485685,
+    sigma_G=0.623048940659165, sigma_NS=0.029943954947100615,
+    mu_S=0.04019793562542355, omega_S=0.14334875048916118,
+    mu_G=0.08187087550474255, eta_S=0.5861448434173205,
+    eta_G=0.4934110528968719))

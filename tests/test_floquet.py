@@ -30,7 +30,7 @@ from savanna import floquet, integrate, model, thresholds
 from savanna.floquet import _locate_at, _period_map
 from savanna.model import NumericalError
 from savanna.thresholds import ThresholdError
-from draws import CLAMP_CASES, draw_region_params, draw_state_in_omega, draw_valid_params
+from draws import ANCHOR_CASE, CLAMP_CASES, draw_region_params, draw_state_in_omega, draw_valid_params
 
 
 def r1(**over):
@@ -511,12 +511,13 @@ def test_floquet_report_csv_and_verdict():
 
 
 def test_floquet_report_analyses_only_the_located_orbit(monkeypatch):
-    # one variational pass per point: one per fresh-matrix step, and one at
-    # the anchor of each rung (the coarse rung's feeds the n-step rung and
-    # the error estimate, the n-step rung's is the one the report reads).
-    # The parameters were checked when they were built, so the report
-    # checks nothing; the closed forms are evaluated once and the grassland
-    # cross-check is not run
+    # one variational pass per point: one per Newton point, and one more at
+    # the anchor of each rung that ended on a period map (none here: the
+    # 16-step rung's last pass, which feeds the n-step rung and the error
+    # estimate, and the n-step rung's, which the report reads, both showed
+    # convergence).  The parameters were checked when they were built, so
+    # the report checks nothing; the closed forms are evaluated once and the
+    # grassland cross-check is not run
     p = r1(gamma_S=0.01, gamma_NS=0.01)
     calls = Counter()
     passed = []
@@ -543,7 +544,7 @@ def test_floquet_report_analyses_only_the_located_orbit(monkeypatch):
     rep = floquet_report(p, n=64)
     assert rep.boundary == "grassland"
     assert rep.diagnostics["converged"] and rep.diagnostics["newton_iterations"] >= 1
-    assert len(passed) == rep.diagnostics["newton_iterations"] + 2
+    assert len(passed) == rep.diagnostics["newton_iterations"] == 4
     assert len(set(passed)) == len(passed)          # no point gets two passes
     assert calls["require_valid"] == calls["validate"] == 0
     assert calls["compute_thresholds"] == 1
@@ -607,14 +608,14 @@ def _orbit_cases():
         for n in (16, 64):
             cases[f"region {region}, n={n}"] = (p, guess, n, 600, True, True)
     p = region_preset(3).params
-    # from the grassland anchor, three fixed-point steps converge
+    # from the grassland anchor, three 16-step fixed-point steps converge
     cases["no Newton step"] = (
-        p, VegState(0.0, 0.0, (1.0 - p.eta_G) * grassland_orbit_end(p)), 64, 600,
+        p, VegState(0.0, 0.0, (1.0 - p.eta_G) * grassland_orbit_end(p)), 16, 600,
         True, False)
     cases["unconverged"] = (
         p, VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G), 64, 3, False, False)
     # the slow grassland approach below: 600 steps converge on the face; 200
-    # stop after a rejected Newton step, so the last pass is not at the anchor
+    # stop after a Newton step, so the last pass is not at the anchor
     p = p.replace(**SLOW_GRASSLAND_CASE)
     guess = VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G)
     cases["slow grassland approach"] = (p, guess, 64, 600, True, True)
@@ -683,7 +684,7 @@ UNSTABLE_CASE = dict(
 
 
 def test_the_fine_stage_finishes_an_unstable_coarse_orbit():
-    # fixed-point steps at n would move away from it; chord steps with the
+    # fixed-point steps at n would move away from it; Newton steps from the
     # coarse monodromy converge to it all the same
     p = region_preset(3).params.replace(**UNSTABLE_CASE)
     guess = VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G)
@@ -697,9 +698,10 @@ def test_the_fine_stage_finishes_an_unstable_coarse_orbit():
 # 16-step map has a spurious fixed point near (61.35, 0, 2.72) made by the
 # clamp of the pre-fire state (RK4's pre-fire T_NS is -4.69 there), and the
 # first Newton step from the basin crosses to the grassland face, where the
-# residual grows; refreshing the monodromy on the face reaches the grassland
-# orbit at 16 steps, and the 64-step rung keeps its exact tree zeros
-SLOW_CHORD_CASE = dict(
+# residual grows; the point is kept, and the step from it with its own pass
+# reaches the grassland orbit at 16 steps; the 64-step rung keeps its exact
+# tree zeros
+RISING_RESIDUAL_CASE = dict(
     tau=4.879537203044667, K_T=85.61138292074708, K_G=8.290794496621718,
     gamma_G=2.5871140736022236, gamma_S=0.5150152417355027,
     gamma_NS=1.882396927733581, mu_NS=0.07512727938770371,
@@ -709,8 +711,8 @@ SLOW_CHORD_CASE = dict(
     eta_G=0.5993794504876223)
 
 
-def test_a_step_onto_the_grassland_face_refreshes_there():
-    p = region_preset(2).params.replace(**SLOW_CHORD_CASE)
+def test_a_step_onto_the_grassland_face_is_kept_though_its_residual_grows():
+    p = region_preset(2).params.replace(**RISING_RESIDUAL_CASE)
     guess = VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G)
     coarse = _locate_at(p, guess, 600, 16)
     assert coarse.converged and coarse.boundary == "grassland"
@@ -721,34 +723,35 @@ def test_a_step_onto_the_grassland_face_refreshes_there():
     assert _same_orbit(orbit, _locate_at(p, guess, 600, 64), p)
 
 
-CHORD_MATRICES = {
-    # every step is twice the Newton step, so the residual keeps its size
-    # and the second map refreshes the monodromy
+POOR_MATRICES = {
+    # the step from the guess is twice the Newton step; a pass at the point
+    # it reaches and one more finish the location: one map and two passes
     "non-shrinking": lambda m: (np.eye(3) + m) / 2.0,
-    # the first step is 1e12 residuals long and the second map diverges, so
-    # the monodromy is refreshed at the last point whose map was finite
+    # the step from the guess is 1e12 residuals long and the pass there
+    # raises, so three fixed-point steps run from the image of the guess,
+    # then two more passes: four maps and three passes
     "diverging": lambda m: (1.0 - 1e-12) * np.eye(3),
 }
+POOR_MATRIX_COUNTS = {"non-shrinking": (1, 2), "diverging": (4, 3)}
 
 
-@pytest.mark.parametrize("case", sorted(CHORD_MATRICES))
-def test_a_failing_reused_monodromy_is_refreshed_and_lands_on_the_same_orbit(case):
+@pytest.mark.parametrize("case", sorted(POOR_MATRICES))
+def test_a_poor_given_monodromy_still_lands_on_the_direct_orbit(case):
     p = region_preset(1).params
     guess = VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G)
     direct = _locate_at(p, guess, 600, 64)
     coarse = _locate_at(p, guess, 600, 16)
     orbit = _locate_at(p, coarse.anchor, 600, 64,
-                       CHORD_MATRICES[case](coarse.monodromy.matrix))
-    # two maps with the given matrix, one refresh, one map with its matrix
-    assert (orbit.iterations, orbit.newton_iterations) == (3, 1)
+                       POOR_MATRICES[case](coarse.monodromy.matrix))
+    assert (orbit.iterations, orbit.newton_iterations) == POOR_MATRIX_COUNTS[case]
     assert orbit.converged and orbit.interior
     assert _same_orbit(orbit, direct, p)
     assert np.array_equal(orbit.monodromy.matrix, monodromy(p, orbit.anchor, 64))
 
 
 def test_a_fresh_step_whose_map_diverges_falls_back_to_fixed_point_steps(monkeypatch):
-    # the first Newton step overshoots to where the period map diverges; a
-    # refresh at its start would only repeat that pass and that step
+    # the first Newton step overshoots to where the variational pass
+    # diverges, and fixed-point steps resume from the image of its start
     p = region_preset(1).params
     guess = VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G)
     direct = _locate_at(p, guess, 600, 16)
@@ -766,17 +769,52 @@ def test_a_fresh_step_whose_map_diverges_falls_back_to_fixed_point_steps(monkeyp
     monkeypatch.setattr(floquet, "monodromy_full", pass_at)
     orbit = _locate_at(p, guess, 600, 16)
     assert len(set(passed)) == len(passed)          # no point gets two passes
-    assert orbit.converged and orbit.newton_iterations == 2
+    # three passes as in the direct location, one at the overshoot, and the
+    # one whose step overshot
+    assert orbit.converged and orbit.newton_iterations == 5
     assert _same_orbit(orbit, direct, p)
 
 
 @pytest.mark.parametrize("region", (1, 2, 3))
-def test_one_fresh_monodromy_finishes_a_preset(region):
-    # from the basin, the first Newton step's monodromy serves every later step
+def test_the_n_rung_of_a_preset_runs_one_map_and_one_pass(region, monkeypatch):
+    # after the converged 16-step rung, the 256-step rung maps the coarse
+    # anchor once, steps with the coarse monodromy, and the pass at the
+    # point reached shows convergence and is the anchor's
     p = region_preset(region).params
     guess = VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G)
-    orbit = _locate_at(p, guess, 600, 16)
-    assert orbit.converged and orbit.newton_iterations == 1
+    calls = Counter()
+    period_map, flow = floquet._period_map, floquet._flow_variational
+
+    def counted_map(p, x, n):
+        calls["map", n] += 1
+        return period_map(p, x, n)
+
+    def counted_pass(p, anchor, n):
+        calls["pass", n] += 1
+        return flow(p, anchor, n)
+    monkeypatch.setattr(floquet, "_period_map", counted_map)
+    monkeypatch.setattr(floquet, "_flow_variational", counted_pass)
+    orbit = locate_savanna_orbit(p, guess, n=256)
+    assert orbit.converged and orbit.coarse_steps == 16
+    assert (calls["map", 256], calls["pass", 256]) == (1, 1)
+    assert np.array_equal(orbit.monodromy.matrix, monodromy(p, orbit.anchor, 256))
+
+
+def test_the_anchor_is_the_point_full_newton_steps_reach():
+    # every Newton step solves with the monodromy at its start, so the step
+    # that reaches the anchor converges quadratically, and five more full
+    # Newton steps move it by rounding only (a step with a reused monodromy
+    # stopped 8.0e-11 * max(K_T, K_G) away)
+    region, values = ANCHOR_CASE
+    p = region_preset(region).params.replace(**values)
+    orbit = locate_savanna_orbit(p, VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G), n=64)
+    assert orbit.converged and orbit.interior
+    x = orbit.anchor.as_array()
+    for _ in range(5):
+        full = monodromy_full(p, VegState.from_array(x), 64)
+        px = impulse_map(full.pre_fire_state, p).as_array()
+        x = np.maximum(x + floquet._face_step(np.eye(3) - full.matrix, x, px)[0], 0.0)
+    assert np.max(np.abs(orbit.anchor.as_array() - x)) < 1e-12 * max(p.K_T, p.K_G)
 
 
 def test_location_runs_at_most_two_stages(monkeypatch):
