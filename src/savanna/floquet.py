@@ -59,6 +59,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -295,8 +296,8 @@ def locate_savanna_orbit(p: ModelParams, guess: VegState, *, max_iter: int = 600
     ``_locate_at`` runs on each rung of the ladder (module docstring) in
     turn.  The anchor, residual, boundary and ``monodromy`` are the
     ``n``-step rung's; ``iterations``, ``newton_iterations`` and ``clamped``
-    are totals over the rungs that returned, and ``max_iter`` bounds each
-    rung.  The existence warning is issued once per call.
+    are totals over every rung, also one that raised, and ``max_iter`` bounds
+    each rung.  The existence warning is issued once per call.
     """
     rep = compute_thresholds(p)
     _require_steps(n)
@@ -306,22 +307,18 @@ def locate_savanna_orbit(p: ModelParams, guess: VegState, *, max_iter: int = 600
             " when mu_G > 0); attempting orbit location anyway",
             stacklevel=2,
         )
-    start, m, steps, done, coarse, coarse_steps = guess, None, 16, [], None, None
+    start, m, steps, coarse, coarse_steps, tally = guess, None, 16, None, None, Counter()
     while True:
         rung = min(steps, n)
         try:
-            orbit = _locate_at(p, start, max_iter, rung, m)
+            orbit = _locate_at(p, start, max_iter, rung, m, tally)
         except NumericalError:
             if rung == n:
                 raise
             steps *= 4
             continue
-        done.append(orbit)
         if rung == n:
-            return replace(orbit, iterations=sum(o.iterations for o in done),
-                           newton_iterations=sum(o.newton_iterations for o in done),
-                           clamped=sum(o.clamped for o in done),
-                           coarse_monodromy=coarse, coarse_steps=coarse_steps)
+            return replace(orbit, **tally, coarse_monodromy=coarse, coarse_steps=coarse_steps)
         start, steps = orbit.anchor, 4 * steps
         if orbit.converged:
             coarse, coarse_steps, m, steps = orbit.monodromy, rung, orbit.monodromy.matrix, n
@@ -351,7 +348,7 @@ def _face_step(a, x, px):
 
 
 def _locate_at(p: ModelParams, guess: VegState, max_iter: int, n: int,
-               m: np.ndarray | None = None) -> OrbitResult:
+               m: np.ndarray | None = None, tally: Counter | None = None) -> OrbitResult:
     """One location of the ``n``-step fixed point from ``guess``.
 
     Fixed-point iteration runs until it is in the basin of the fixed point it
@@ -381,7 +378,8 @@ def _locate_at(p: ModelParams, guess: VegState, max_iter: int, n: int,
     error.  The orbit is located when the residual is below ``_ORBIT_TOL``
     (1e-10).  ``iterations`` counts the period maps (fixed-point steps and
     the map at a given ``m``) and ``newton_iterations`` the passes at Newton
-    points, and each stops at ``max_iter``.
+    points, and each stops at ``max_iter``.  A given ``tally`` gets these
+    counts and ``clamped`` added, also when the location raises.
 
     ``monodromy`` holds the variational pass at the anchor: the last Newton
     pass when it showed convergence, else one more pass at the anchor (after
@@ -396,50 +394,54 @@ def _locate_at(p: ModelParams, guess: VegState, max_iter: int, n: int,
     prev_residual = ratio = math.nan      # no history yet: every test is False
     iterations = newton_used = clamped = 0
     newton, at_anchor = m is not None, None
-    while iterations < max_iter and newton_used < max_iter:
-        if not newton:
-            px = _period_map(p, x, n)
-            iterations += 1
-            residual = float(np.linalg.norm(px - x))
-            x = px
-            if residual < _ORBIT_TOL:
-                break
-            prev_ratio, ratio = ratio, residual / prev_residual if prev_residual else math.nan
-            prev_residual = residual
-            if residual < basin and ratio < 1.0 and abs(ratio - prev_ratio) < 0.05:
-                # the last fixed-point step is the fallback of the first pass;
-                # fixed-point steps after a Newton step must settle again
-                newton, bound, fallback, prev_residual = True, residual, x, math.nan
-            continue
-        try:
-            if m is None:
-                newton_used += 1
-                full = monodromy_full(p, VegState.from_array(x), n)
-                px, a = impulse_map(full.pre_fire_state, p).as_array(), np.eye(3) - full.matrix
-            else:
+    try:
+        while iterations < max_iter and newton_used < max_iter:
+            if not newton:
                 iterations += 1
-                full, px, a, m = None, _period_map(p, x, n), np.eye(3) - m, None
-            step_residual = float(np.linalg.norm(px - x))
-            if step_residual < _ORBIT_TOL:
-                # x has no negative component, so it is the anchor
-                residual, at_anchor = step_residual, full
-                break
-            if step_residual < bound:
-                residual, bound, fallback = step_residual, math.inf, px
-                delta, on_face = _face_step(a, x, px)
-                x = np.maximum(x + delta, 0.0)
-                clamped += on_face
+                px = _period_map(p, x, n)
+                residual = float(np.linalg.norm(px - x))
+                x = px
+                if residual < _ORBIT_TOL:
+                    break
+                prev_ratio, ratio = ratio, residual / prev_residual if prev_residual else math.nan
+                prev_residual = residual
+                if residual < basin and ratio < 1.0 and abs(ratio - prev_ratio) < 0.05:
+                    # the last fixed-point step is the fallback of the first pass;
+                    # fixed-point steps after a Newton step must settle again
+                    newton, bound, fallback, prev_residual = True, residual, x, math.nan
                 continue
-        except (NumericalError, np.linalg.LinAlgError):
-            pass
-        x, newton = fallback, False       # back to fixed-point steps
-    anchor = VegState.from_array(x)
-    if at_anchor is None:
-        at_anchor = monodromy_full(p, anchor, n)
-    low = at_anchor.unclamped_min
-    if residual < _ORBIT_TOL and low < -_UNDERSHOOT_FLOOR * max(p.K_T, p.K_G):
-        raise NumericalError(f"the fixed point at {n} steps per period is not an orbit: its "
-                             f"pre-fire state has a component of {low:.3g} before the clamp")
+            try:
+                if m is None:
+                    newton_used += 1
+                    full = monodromy_full(p, VegState.from_array(x), n)
+                    px, a = impulse_map(full.pre_fire_state, p).as_array(), np.eye(3) - full.matrix
+                else:
+                    iterations += 1
+                    full, px, a, m = None, _period_map(p, x, n), np.eye(3) - m, None
+                step_residual = float(np.linalg.norm(px - x))
+                if step_residual < _ORBIT_TOL:
+                    # x has no negative component, so it is the anchor
+                    residual, at_anchor = step_residual, full
+                    break
+                if step_residual < bound:
+                    residual, bound, fallback = step_residual, math.inf, px
+                    delta, on_face = _face_step(a, x, px)
+                    x = np.maximum(x + delta, 0.0)
+                    clamped += on_face
+                    continue
+            except (NumericalError, np.linalg.LinAlgError):
+                pass
+            x, newton = fallback, False       # back to fixed-point steps
+        anchor = VegState.from_array(x)
+        if at_anchor is None:
+            at_anchor = monodromy_full(p, anchor, n)
+        low = at_anchor.unclamped_min
+        if residual < _ORBIT_TOL and low < -_UNDERSHOOT_FLOOR * max(p.K_T, p.K_G):
+            raise NumericalError(f"the fixed point at {n} steps per period is not an orbit: its "
+                                 f"pre-fire state has a component of {low:.3g} before the clamp")
+    finally:
+        if tally is not None:
+            tally.update(iterations=iterations, newton_iterations=newton_used, clamped=clamped)
     return OrbitResult(
         anchor=anchor,
         converged=residual < _ORBIT_TOL,
@@ -483,12 +485,10 @@ def grassland_agreement(p: ModelParams, n: int = DEFAULT_STEPS) -> dict:
     """
     rep = compute_thresholds(p)
     anchor = VegState(0.0, 0.0, (1.0 - p.eta_G) * grassland_orbit_end(p))
-    eigs = cubic_eigenvalues(monodromy(p, anchor, n))
+    # the trees are exactly 0 at the anchor and stay 0 whatever the grass, so
+    # M[0:2, 2] == 0: M is block triangular and M[:2, :2] holds the tree pair
+    numeric = float(np.max(np.abs(np.linalg.eigvals(monodromy(p, anchor, n)[:2, :2]))))
     xi3 = 1.0 / rep.rho_g0
-    # the grass direction is exact in both routes; drop it from the tree pair
-    tree_mods = sorted(abs(z) for z in eigs)
-    tree_mods.remove(min(tree_mods, key=lambda v: abs(v - xi3)))
-    numeric = max(tree_mods)
     return {
         "rho_t_analytic": rep.rho_t,
         "tree_multiplier_numeric": numeric,

@@ -19,10 +19,12 @@ mu_NS T_NS' + sigma_G G T_S')`` with ``phi > 0``.  The last bracket is
 nonnegative on a nonnegative state, so ``Sigma <= K_T`` gives
 ``Sigma' <= K_T``.
 
-``simulate`` integrates segment by segment, applying the fire map at every
-multiple of the fire period; the step is snapped to an exact divisor of the
-period so fires land on grid nodes.  It keeps every sample in memory, so it
-refuses runs with ``horizon / h`` above ``MAX_SAMPLES`` (10^7).
+``simulate`` snaps the step to an exact divisor of the fire period, so fires
+land on grid nodes, and runs one step loop with one pass per period: each
+pass takes the period's grid steps and applies the fire map at its end, and
+a last pass without a fire takes the grid steps left after the last fire.  A
+horizon off the grid ends with one shorter step.  It keeps every sample in
+memory, so it refuses runs with ``horizon / h`` above ``MAX_SAMPLES`` (10^7).
 """
 
 from __future__ import annotations
@@ -140,19 +142,15 @@ class Trajectory:
     scheme: str
 
     def to_csv(self) -> str:
-        impulses = {t: (pre, post) for t, pre, post in self.impulse_records}
+        pre_fire = {t: pre for t, pre, _ in self.impulse_records}
         lines = ["t,T_S,T_NS,G,event"]
-
-        def row(t, s, event=""):
-            lines.append(f"{t:.17g},{s.t_s:.17g},{s.t_ns:.17g},{s.g:.17g},{event}")
-
         for t, s in self.samples:
-            if t in impulses:
-                pre, post = impulses[t]
-                row(t, pre, "pre_fire")
-                row(t, post, "post_fire")
+            pre = pre_fire.get(t)
+            if pre is None:
+                lines.append(f"{t:.17g},{s.t_s:.17g},{s.t_ns:.17g},{s.g:.17g},")
             else:
-                row(t, s)
+                lines.append(f"{t:.17g},{pre.t_s:.17g},{pre.t_ns:.17g},{pre.g:.17g},pre_fire")
+                lines.append(f"{t:.17g},{s.t_s:.17g},{s.t_ns:.17g},{s.g:.17g},post_fire")
         return "\n".join(lines) + "\n"
 
     def final_state(self) -> VegState:
@@ -168,17 +166,15 @@ def _sanitize(ts, tns, g, t, floor):
     """
     if not (math.isfinite(ts) and math.isfinite(tns) and math.isfinite(g)):
         raise NumericalError(f"state became non-finite at t = {t:.6g}")
-    out = []
-    for v in (ts, tns, g):
-        if v < 0.0:
+    if ts < 0.0 or tns < 0.0 or g < 0.0:
+        for v in (ts, tns, g):
             if v < -floor:
                 raise NumericalError(
                     f"state left the feasible region at t = {t:.6g} "
                     f"(component {v:.3g})"
                 )
-            v = 0.0
-        out.append(v)
-    return out[0], out[1], out[2]
+        return tuple(0.0 if v < 0.0 else v for v in (ts, tns, g))
+    return ts, tns, g
 
 
 def simulate(p: ModelParams, s0: VegState, horizon: float, h: float,
@@ -187,8 +183,11 @@ def simulate(p: ModelParams, s0: VegState, horizon: float, h: float,
     multiple of the fire period.
 
     The requested step is coerced to tau/m with m = ceil(tau/h) so fire times
-    are grid nodes; the effective step is recorded on the trajectory.  Output
-    is deterministic for identical inputs.
+    are grid nodes; the effective step is recorded on the trajectory.  One
+    step loop makes a pass per whole period, ending in a fire, and one more
+    pass without a fire over the grid steps after the last fire (fewer than
+    m).  If the horizon is not a grid node, one shorter step ends the run
+    there.  Output is deterministic for identical inputs.
     """
     if not (horizon > 0 and math.isfinite(horizon)):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
@@ -209,40 +208,34 @@ def simulate(p: ModelParams, s0: VegState, horizon: float, h: float,
     remainder = horizon - n_periods * p.tau
     if remainder < 1e-9 * p.tau:
         remainder = 0.0
+    n_rem = int(math.floor(remainder / h_eff + 1e-12))    # grid steps after the last fire; < m
     floor = _UNDERSHOOT_FLOOR * max(p.K_T, p.K_G)
 
     ts, tns, g = s0.t_s, s0.t_ns, s0.g
     samples: list[tuple[float, VegState]] = [(0.0, VegState(ts, tns, g))]
     impulses: list[tuple[float, VegState, VegState]] = []
 
-    for k in range(n_periods):
+    for k in range(n_periods + 1):
         base = k * p.tau
-        for j in range(1, m + 1):
+        fire = k < n_periods
+        for j in range(1, m + 1 if fire else n_rem + 1):
             ts, tns, g = step(ts, tns, g)
             t = base + j * h_eff if j < m else (k + 1) * p.tau
             ts, tns, g = _sanitize(ts, tns, g, t, floor)
             if j < m:
                 samples.append((t, VegState(ts, tns, g)))
-        t_fire = (k + 1) * p.tau
-        pre = VegState(ts, tns, g)
-        ts, tns, g = _impulse(ts, tns, g, p)
-        post = VegState(ts, tns, g)
-        impulses.append((t_fire, pre, post))
-        samples.append((t_fire, post))
+        if fire:
+            pre = VegState(ts, tns, g)
+            ts, tns, g = _impulse(ts, tns, g, p)
+            post = VegState(ts, tns, g)
+            impulses.append((t, pre, post))
+            samples.append((t, post))
 
-    if remainder > 0.0:
-        base = n_periods * p.tau
-        n_rem = int(math.floor(remainder / h_eff + 1e-12))
-        for j in range(1, n_rem + 1):
-            ts, tns, g = step(ts, tns, g)
-            t = base + j * h_eff
-            ts, tns, g = _sanitize(ts, tns, g, t, floor)
-            samples.append((t, VegState(ts, tns, g)))
-        last = remainder - n_rem * h_eff
-        if last > 1e-12 * p.tau:
-            ts, tns, g = _stepper(p, scheme, last)(ts, tns, g)
-            ts, tns, g = _sanitize(ts, tns, g, horizon, floor)
-            samples.append((horizon, VegState(ts, tns, g)))
+    last = remainder - n_rem * h_eff
+    if last > 1e-12 * p.tau:
+        ts, tns, g = _stepper(p, scheme, last)(ts, tns, g)
+        ts, tns, g = _sanitize(ts, tns, g, horizon, floor)
+        samples.append((horizon, VegState(ts, tns, g)))
 
     return Trajectory(
         samples=tuple(samples),

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, NumericalError, ParameterError, _valid_cells
-from .thresholds import CRITICAL_FIELDS, ThresholdError, _closed_forms
+from .floquet import floquet_report
+from .model import ModelParams, NumericalError, _valid_cells
+from .thresholds import CRITICAL_FIELDS, _closed_forms
 
 __all__ = ["AxisSpec", "GridScan", "LevelCurve", "scan", "level_curve", "classify_grid"]
 
@@ -92,8 +93,6 @@ def _cell_value(base: ModelParams, name1: str, v1: float, name2: str, v2: float)
     """``rho_tg`` at one grid node; (value, defined).  Infeasible parameter
     combos, orbits that do not converge and orbits that diverge numerically
     yield an undefined cell, never an exception."""
-    from .floquet import floquet_report
-
     try:
         p = base.replace(**{name1: float(v1), name2: float(v2)})
         with warnings.catch_warnings():
@@ -102,7 +101,7 @@ def _cell_value(base: ModelParams, name1: str, v1: float, name2: str, v2: float)
         if not rep.diagnostics.get("converged", False):
             return np.nan, False
         return rep.rho_tg, True
-    except (ParameterError, ThresholdError, ValueError, NumericalError):
+    except (ValueError, NumericalError):
         return np.nan, False
 
 

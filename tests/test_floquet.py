@@ -483,6 +483,10 @@ def test_agreement_audit_runs_and_is_logged():
     for _ in range(40):
         p = draw_valid_params(rng, require_grassland=True)
         audit = grassland_agreement(p, n=512)
+        # the tree rows of the monodromy at the grassland anchor do not see
+        # the grass, so its tree multipliers are those of M[:2, :2]
+        anchor = VegState(0.0, 0.0, (1.0 - p.eta_G) * grassland_orbit_end(p))
+        assert np.all(monodromy(p, anchor, 512)[0:2, 2] == 0.0)
         assert math.isfinite(audit["rho_t_analytic"])
         assert math.isfinite(audit["tree_multiplier_numeric"])
         if not audit["agree"]:
@@ -834,27 +838,52 @@ def test_location_runs_at_most_two_stages(monkeypatch):
         assert calls["_locate_at"] <= 2, (region, max_iter)
 
 
-def _assert_identical(a, b):
+def _count_period_maps(patch):
+    """The step count of every ``_period_map`` call from now on."""
+    maps, period_map = [], floquet._period_map
+    patch.setattr(floquet, "_period_map", lambda p, x, n: maps.append(n) or period_map(p, x, n))
+    return maps
+
+
+def _assert_identical(a, b, maps=0):
+    # ``maps``: period maps that ``a``'s rungs ran before ``b``'s location
     assert a.anchor == b.anchor
     assert (a.converged, a.residual, a.iterations, a.newton_iterations, a.boundary,
-            a.clamped) == (b.converged, b.residual, b.iterations, b.newton_iterations,
+            a.clamped) == (b.converged, b.residual, b.iterations + maps, b.newton_iterations,
                            b.boundary, b.clamped)
     assert np.array_equal(a.monodromy.matrix, b.monodromy.matrix)
     assert a.coarse_monodromy is b.coarse_monodromy is None
 
 
-def test_a_diverging_coarse_stage_falls_back_to_the_direct_path():
+def test_a_diverging_coarse_stage_falls_back_to_the_direct_path(monkeypatch):
     p = region_preset(2).params.replace(**DIVERGING_COARSE_CASE)
     guess = VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G)
-    with pytest.raises(NumericalError, match="diverged"):
-        _locate_at(p, guess, 600, 16)
+    with monkeypatch.context() as patch:
+        maps = _count_period_maps(patch)
+        with pytest.raises(NumericalError, match="diverged"):
+            _locate_at(p, guess, 600, 16)
     orbit = locate_savanna_orbit(p, guess, n=64)
     assert orbit.converged
-    _assert_identical(orbit, _locate_at(p, guess, 600, 64))
+    # the counters also hold the maps of the 16-step rung that diverged
+    _assert_identical(orbit, _locate_at(p, guess, 600, 64), maps=len(maps))
     # at n=256 the 64-step rung takes over from the guess and converges
     orbit = locate_savanna_orbit(p, guess, n=256)
     assert orbit.converged and orbit.coarse_steps == 64
     assert _same_orbit(orbit, _locate_at(p, guess, 600, 256), p)
+
+
+@pytest.mark.parametrize("case", sorted(CLAMP_CASES) + ["diverging"])
+def test_iterations_count_every_period_map_also_of_rungs_that_raise(case, monkeypatch):
+    # a refused 16-step rung (the clamp cases) or one whose map diverges
+    # still counts its maps
+    region, values = CLAMP_CASES.get(case, (2, DIVERGING_COARSE_CASE))
+    p = region_preset(region).params.replace(**values)
+    maps = _count_period_maps(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        orbit = locate_savanna_orbit(p, VegState(0.1 * p.K_T, 0.1 * p.K_T, 0.5 * p.K_G), n=64)
+    assert orbit.converged and 16 in maps
+    assert orbit.iterations == len(maps)
 
 
 @pytest.mark.parametrize("case", sorted(CLAMP_CASES))

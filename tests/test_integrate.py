@@ -294,6 +294,60 @@ def test_simulate_reports_divergence_with_time_stamp():
         simulate(p, VegState(1.0, 1.0, 0.0), horizon=20.0, h=0.45, scheme="reference")
 
 
+
+def _replay(p, s0, horizon, h_eff, scheme):
+    """``simulate``'s run one public step at a time: steps of ``h_eff``, the
+    fire map after every m-th of them, and one step of the length left over
+    past the last grid node, if any."""
+    step = nsfd_step if scheme == "nsfd" else reference_step
+    m = round(p.tau / h_eff)
+    n_grid = int(horizon / h_eff + 1e-9)
+    n_periods, n_rem = divmod(n_grid, m)
+    last = (horizon - n_periods * p.tau) - n_rem * h_eff
+    s, samples, fires = s0, [(0.0, s0)], []
+    for i in range(1, n_grid + 1):
+        s = step(s, p, h_eff)
+        if i % m == 0:
+            fires.append((i * h_eff, s, impulse_map(s, p)))
+            s = fires[-1][2]
+        samples.append((i * h_eff, s))
+    if last > 1e-12 * p.tau:
+        samples.append((horizon, step(s, p, last)))
+    return samples, fires
+
+
+# (tau, h, whole periods, grid steps after them); a fractional step count
+# puts the horizon off the grid
+REPLAY_CASES = {
+    "whole periods": (1.75, 0.1, 4, 0),
+    "remainder": (1.75, 0.1, 4, 5),
+    "off the grid": (1.75, 0.1, 4, 5.5),
+    "h >= tau": (0.5, 0.6, 5, 0.25),
+    "horizon < tau": (1.75, 0.1, 0, 7.5),
+}
+
+
+@pytest.mark.parametrize("scheme", ("nsfd", "reference"))
+@pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+def test_simulate_equals_a_step_by_step_replay(case, scheme):
+    tau, h, periods, steps = REPLAY_CASES[case]
+    p = region_preset(3).params.replace(tau=tau)
+    m = math.ceil(tau / h)
+    horizon = periods * tau + steps * (tau / m)
+    s0 = VegState(0.3 * p.K_T, 0.2 * p.K_T, 0.5 * p.K_G)
+    traj = simulate(p, s0, horizon=horizon, h=h, scheme=scheme)
+    assert traj.h_effective == tau / m
+    samples, fires = _replay(p, s0, horizon, traj.h_effective, scheme)
+    assert len(fires) == periods
+    assert len(samples) == 1 + periods * m + math.ceil(steps)
+    assert len(traj.samples) == len(samples) and len(traj.impulse_records) == len(fires)
+    for (t, s), (t_r, s_r) in zip(traj.samples, samples):
+        assert t == pytest.approx(t_r, rel=1e-12, abs=1e-12)
+        assert s == s_r
+    for (t, pre, post), (t_r, pre_r, post_r) in zip(traj.impulse_records, fires):
+        assert t == pytest.approx(t_r, rel=1e-12)
+        assert (pre, post) == (pre_r, post_r)
+
 def test_trajectory_csv_shape():
     p = r1()
     traj = simulate(p, VegState(1, 1, 1), horizon=2 * p.tau, h=1.0)

@@ -275,7 +275,7 @@ def test_rho_tg_scan_survives_a_numerically_failing_cell(monkeypatch):
         return SimpleNamespace(rho_tg=p.sigma_G + p.eta_G,
                                diagnostics={"converged": True})
 
-    monkeypatch.setattr(savanna.floquet, "floquet_report", report)
+    monkeypatch.setattr(savanna.sweep, "floquet_report", report)
     gs = scan(base1(), AxisSpec("sigma_G", 0.3, 0.5, 3),
               AxisSpec("eta_G", 0.2, 0.4, 3), "rho_tg")
     expected = np.ones((3, 3), dtype=bool)
