@@ -142,12 +142,13 @@ def _echo_block(p: ModelParams) -> str:
     return "".join(f"# {line}\n" for line in dump_params_text(p).splitlines())
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(path: str | None, *texts: str) -> None:
+    """Write ``texts`` in order to ``path``, or to stdout without one."""
     if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(texts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
 
 
 def _parse_state(spec: str | None, p: ModelParams, default) -> VegState:
@@ -182,7 +183,7 @@ def _cmd_classify(args) -> None:
                         ("tau*", cv.tau_star)):
             out += f"critical value {name:<10} = " + (
                 "undefined" if v is None else f"{v:.6g}") + "\n"
-    _emit(out, args.output)
+    _emit(args.output, out)
 
 
 def _cmd_simulate(args) -> None:
@@ -192,11 +193,9 @@ def _cmd_simulate(args) -> None:
         traj = simulate(p, s0, horizon=args.horizon, h=args.h, scheme=args.scheme)
     except ValueError as exc:       # a bad horizon or step, or above the sample cap
         raise _UsageError(str(exc)) from None
-    out = _echo_block(p)
-    out += f"# scheme = {traj.scheme}, h_requested = {traj.h_requested:.17g}, " \
-           f"h_effective = {traj.h_effective:.17g}\n"
-    out += traj.to_csv()
-    _emit(out, args.output)
+    header = f"# scheme = {traj.scheme}, h_requested = {traj.h_requested:.17g}, " \
+             f"h_effective = {traj.h_effective:.17g}\n"
+    _emit(args.output, _echo_block(p), header, traj.to_csv())
 
 
 def _cmd_floquet(args) -> None:
@@ -208,7 +207,7 @@ def _cmd_floquet(args) -> None:
     out = _echo_block(p)
     out += f"# residual = {rep.residual:.17g}, boundary = {rep.boundary or 'interior'}\n"
     out += rep.to_csv()
-    _emit(out, args.output)
+    _emit(args.output, out)
 
 
 def _parse_axes(spec: str) -> tuple[AxisSpec, AxisSpec]:
@@ -247,7 +246,7 @@ def _cmd_sweep(args) -> None:
     out = _echo_block(p)
     out += f"# quantity = {gs.quantity}\n"
     out += gs.to_csv()
-    _emit(out, args.output)
+    _emit(args.output, out)
     if args.level is not None:
         try:
             curve = level_curve(gs, args.level)
@@ -256,7 +255,7 @@ def _cmd_sweep(args) -> None:
         cout = _echo_block(p)
         cout += f"# quantity = {gs.quantity}, level = {args.level:.17g}\n"
         cout += curve.to_csv()
-        _emit(cout, args.curves)
+        _emit(args.curves, cout)
 
 
 def _cmd_presets(args) -> None:
@@ -268,7 +267,7 @@ def _cmd_presets(args) -> None:
         out += f"# {key}: [{lo:g}, {hi:g}]\n"
     for note in preset.notes:
         out += f"# note: {note}\n"
-    _emit(out, args.output)
+    _emit(args.output, out)
 
 
 _COMMANDS = {

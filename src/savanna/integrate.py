@@ -23,14 +23,20 @@ nonnegative on a nonnegative state, so ``Sigma <= K_T`` gives
 land on grid nodes, and runs one step loop with one pass per period: each
 pass takes the period's grid steps and applies the fire map at its end, and
 a last pass without a fire takes the grid steps left after the last fire.  A
-horizon off the grid ends with one shorter step.  It keeps every sample in
-memory, so it refuses runs with ``horizon / h`` above ``MAX_SAMPLES`` (10^7).
+horizon off the grid ends with one shorter step.  Each step's state goes to
+``_sanitize`` only when a component is negative or not finite.  Every sample
+is kept in memory as four floats of one flat store, 32 bytes a sample, with
+no ``VegState`` per step, so ``simulate`` refuses runs with ``horizon / h``
+above ``MAX_SAMPLES`` (10^7).  ``Trajectory.to_csv`` formats the rows
+between two fires in blocks, one ``%`` call per block.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .model import (
     ModelParams,
@@ -45,8 +51,11 @@ __all__ = [
     "reference_step", "simulate",
 ]
 
-MAX_SAMPLES = 10**7     # horizon / h; each kept sample holds a VegState
+MAX_SAMPLES = 10**7     # horizon / h; each kept sample is four floats, 32 bytes
 _UNDERSHOOT_FLOOR = 1e-9  # a state below -this * max(K_T, K_G) has left the feasible region
+_ROW = "%.17g,%.17g,%.17g,%.17g,\n"
+_FIRE_ROWS = "%.17g,%.17g,%.17g,%.17g,pre_fire\n%.17g,%.17g,%.17g,%.17g,post_fire\n"
+_BLOCK_ROWS = 1024        # CSV rows formatted by one % call
 
 
 @dataclass(frozen=True)
@@ -130,31 +139,45 @@ def reference_step(s: VegState, p: ModelParams, h: float) -> VegState:
 class Trajectory:
     """Sampled run: grid samples plus explicit pre/post states at each fire.
 
-    ``samples`` holds the state at every grid time; at fire times the stored
-    sample is the post-fire state (right-continuous convention) and the
-    matching ``impulse_records`` entry carries both sides.
+    The grid samples are kept flat, ``t, T_S, T_NS, G`` for each in turn, in
+    one ``array('d')`` of 32 bytes per sample; ``_fire_rows`` holds the
+    sample index of each fire.  ``samples`` is the ``(t, VegState)`` view of
+    that store, built on first access.  At fire times the stored sample is
+    the post-fire state (right-continuous convention) and the matching
+    ``impulse_records`` entry carries both sides.
     """
 
-    samples: tuple[tuple[float, VegState], ...]
+    _rows: array = field(repr=False, hash=False)    # an array is unhashable
+    _fire_rows: tuple[int, ...]
     impulse_records: tuple[tuple[float, VegState, VegState], ...]
     h_requested: float
     h_effective: float
     scheme: str
 
+    @cached_property
+    def samples(self) -> tuple[tuple[float, VegState], ...]:
+        it = iter(self._rows)
+        return tuple((t, VegState(ts, tns, g)) for t, ts, tns, g in zip(it, it, it, it))
+
     def to_csv(self) -> str:
-        pre_fire = {t: pre for t, pre, _ in self.impulse_records}
-        lines = ["t,T_S,T_NS,G,event"]
-        for t, s in self.samples:
-            pre = pre_fire.get(t)
-            if pre is None:
-                lines.append(f"{t:.17g},{s.t_s:.17g},{s.t_ns:.17g},{s.g:.17g},")
-            else:
-                lines.append(f"{t:.17g},{pre.t_s:.17g},{pre.t_ns:.17g},{pre.g:.17g},pre_fire")
-                lines.append(f"{t:.17g},{s.t_s:.17g},{s.t_ns:.17g},{s.g:.17g},post_fire")
-        return "\n".join(lines) + "\n"
+        """One row per sample; a fire time gets its pre-fire row, then the
+        sample as its post-fire row.  The rows between two fires are
+        formatted ``_BLOCK_ROWS`` at a time."""
+        rows, start = self._rows, 0
+        parts = ["t,T_S,T_NS,G,event\n"]
+        for stop, fire in zip((*self._fire_rows, len(rows) // 4), (*self.impulse_records, None)):
+            for a in range(start, stop, _BLOCK_ROWS):
+                b = min(stop, a + _BLOCK_ROWS)
+                parts.append((_ROW * (b - a)) % tuple(rows[4 * a:4 * b]))
+            if fire is not None:
+                t, pre, post = fire
+                parts.append(_FIRE_ROWS % (t, pre.t_s, pre.t_ns, pre.g,
+                                           t, post.t_s, post.t_ns, post.g))
+            start = stop + 1
+        return "".join(parts)
 
     def final_state(self) -> VegState:
-        return self.samples[-1][1]
+        return VegState(*self._rows[-3:])
 
 
 def _sanitize(ts, tns, g, t, floor):
@@ -212,7 +235,8 @@ def simulate(p: ModelParams, s0: VegState, horizon: float, h: float,
     floor = _UNDERSHOOT_FLOOR * max(p.K_T, p.K_G)
 
     ts, tns, g = s0.t_s, s0.t_ns, s0.g
-    samples: list[tuple[float, VegState]] = [(0.0, VegState(ts, tns, g))]
+    rows = array("d", (0.0, ts, tns, g))
+    fire_rows: list[int] = []
     impulses: list[tuple[float, VegState, VegState]] = []
 
     for k in range(n_periods + 1):
@@ -221,26 +245,25 @@ def simulate(p: ModelParams, s0: VegState, horizon: float, h: float,
         for j in range(1, m + 1 if fire else n_rem + 1):
             ts, tns, g = step(ts, tns, g)
             t = base + j * h_eff if j < m else (k + 1) * p.tau
-            ts, tns, g = _sanitize(ts, tns, g, t, floor)
+            # NaN fails every comparison; +inf, and only an overflowing sum,
+            # fails the last one, so _sanitize sees every state it could act on
+            if not (ts >= 0.0 and tns >= 0.0 and g >= 0.0 and ts + tns + g < math.inf):
+                ts, tns, g = _sanitize(ts, tns, g, t, floor)
             if j < m:
-                samples.append((t, VegState(ts, tns, g)))
+                rows.extend((t, ts, tns, g))
         if fire:
             pre = VegState(ts, tns, g)
             ts, tns, g = _impulse(ts, tns, g, p)
             post = VegState(ts, tns, g)
             impulses.append((t, pre, post))
-            samples.append((t, post))
+            fire_rows.append(len(rows) // 4)
+            rows.extend((t, ts, tns, g))
 
     last = remainder - n_rem * h_eff
     if last > 1e-12 * p.tau:
         ts, tns, g = _stepper(p, scheme, last)(ts, tns, g)
         ts, tns, g = _sanitize(ts, tns, g, horizon, floor)
-        samples.append((horizon, VegState(ts, tns, g)))
+        rows.extend((horizon, ts, tns, g))
 
-    return Trajectory(
-        samples=tuple(samples),
-        impulse_records=tuple(impulses),
-        h_requested=h,
-        h_effective=h_eff,
-        scheme=scheme,
-    )
+    return Trajectory(rows, tuple(fire_rows), impulse_records=tuple(impulses),
+                      h_requested=h, h_effective=h_eff, scheme=scheme)

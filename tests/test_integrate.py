@@ -1,4 +1,8 @@
+import hashlib
+import importlib
 import math
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from savanna import (
     region_preset,
     simulate,
 )
+from savanna import integrate
 from draws import draw_region_params, draw_state_in_omega
 
 
@@ -359,3 +364,170 @@ def test_trajectory_csv_shape():
     # pre/post pairs share their time stamp
     for a, b in zip(pre_rows, post_rows):
         assert a.split(",")[0] == b.split(",")[0]
+
+
+# (fire period, or None for the preset's; grid steps per period; horizon in
+# periods).  1500 steps per period puts more rows between two fires than one
+# formatting block holds.
+CSV_CASES = {
+    "whole periods": (None, 1500, 3),
+    "remainder": (None, 1500, 3 + 700 / 1500),
+    "off the grid": (None, 1500, 3 + 700.5 / 1500),
+    "h >= tau": (0.4, 0.8, 5.25),
+    "horizon < tau": (None, 1500, 0.7),
+}
+
+# sha256 of ``to_csv()`` for each (preset, scheme, case), recorded from the
+# per-row writer that ``_per_row_csv`` restates
+CSV_DIGESTS = {
+    (1, "nsfd", "whole periods"): "f38e407d7f21c58b4220bb47eb341b1d06653684f2a77de538d7ac2eaae8cb9b",
+    (1, "nsfd", "remainder"): "6c77b6d3201b45cf12a6c076215110d47ba313c239dc840deabc6b9cc3ce2628",
+    (1, "nsfd", "off the grid"): "602eeea512dde3bc6d759d7dc151f13a7a6b73c72aa848e17a168d1c4c993001",
+    (1, "nsfd", "h >= tau"): "6eaa4dcf4005fe3269b5a96bc88ff4b8c40574cc2334e419e554644e5a740c72",
+    (1, "nsfd", "horizon < tau"): "6e76c2bc80cbce6dd396e1d418c0707121f00fca9d22a66df3fbd1c77ee39ee8",
+    (1, "reference", "whole periods"): "00a8722ba38399fc55f890d9fdfc614bcbb80ab7012e4b39f9d9bf5cee91a444",
+    (1, "reference", "remainder"): "12f720cf60c5af6cedb7a23cf19d0031a8229ea08bb30445cc412403875c03c0",
+    (1, "reference", "off the grid"): "ab7c0b454de9f8a324faaed00564c3b0c98675e2569a9eed006518db89ca7331",
+    (1, "reference", "h >= tau"): "89b31724dd309a0ec0b0fd0e493ddb5c47eb45239c6953985f4c0b8e3bb81c7a",
+    (1, "reference", "horizon < tau"): "d59881fbc51e72d13152ad19178a68751ec2ef31e97b33b84f18678f253ce10a",
+    (2, "nsfd", "whole periods"): "865918ff7acb67bbe8f7cb6218f4f28b31a78eeb047d87619ee294356a574985",
+    (2, "nsfd", "remainder"): "866f70b8179662ed03b478dcfa220963c9ef6785df4105dd82be5efd20bc0846",
+    (2, "nsfd", "off the grid"): "d8f2303b1b7e6b0641e1ac4c19eef444c7ed45ba77d9ce77fe7440acca08191f",
+    (2, "nsfd", "h >= tau"): "04625e77ca7977c33a25482ffd7bf8e8e83634b5c5347d52eec061eb86e44e22",
+    (2, "nsfd", "horizon < tau"): "90d5108e6b0feaf4011fc5520fa856ac4386eae2d76f55659631a82166fea71f",
+    (2, "reference", "whole periods"): "9a86cf28f421bc33274324280bb534c0d1bf377ae301c959237e79e05bf5e5d5",
+    (2, "reference", "remainder"): "16467de4aabf0dd461fae6ccce6684765b2e17d19865556ed92ce67f4d474157",
+    (2, "reference", "off the grid"): "63a7ad2394be938ddc55b9cff19db4b760e8d8cb77cfb025faf0278b64a4235d",
+    (2, "reference", "h >= tau"): "2abf21b6416f4139254a3c59ffc286b09db83929fe26c6366c8207bf661dc14c",
+    (2, "reference", "horizon < tau"): "310022c5611c8c3b5b1d37b725f2ebfe08901c83dd17c6626d7479e433b872fd",
+    (3, "nsfd", "whole periods"): "7f5dcdda2fb63aa9d97cae648cd751aead76f7678d9155c0a936cbfe323e7df9",
+    (3, "nsfd", "remainder"): "94d4c388a8764833e56b47acdcf60a582ebad17a1f77a51d8138f3a1dc953ef3",
+    (3, "nsfd", "off the grid"): "b7106cc569f3adae6028c99521221a25d5a16b9699f54dbf3999a3a2e19318a2",
+    (3, "nsfd", "h >= tau"): "7207116fd09856e175678d0ee5c6ef00a34ef01f49fd7fc5dd51e3475df6536a",
+    (3, "nsfd", "horizon < tau"): "9bbd399eb57c48050d7796f4da637656446dc5ea02636b667f47e468d7c6a9f6",
+    (3, "reference", "whole periods"): "77e73bdb67c6c19b68f48c107c071dbb354f5ed8599ce20fc13d25a29167ce9e",
+    (3, "reference", "remainder"): "d5d04816e59a032fd4344d29721d0256cc17655ea93bd75e085b017efa669941",
+    (3, "reference", "off the grid"): "74b482459da9f8f6ae8207eb2f24f935b1a91d709f25ea048cbada9e649acc48",
+    (3, "reference", "h >= tau"): "a96dbe42329aa9349f1c873dcdb823e19cd4693a064ce416edd6fd3baf787647",
+    (3, "reference", "horizon < tau"): "5e27cedad58d8c6b6e328c9f0bb7c4a47002d74a779714cf25a78a3cd9a7907e",
+}
+
+
+def _csv_case(region, scheme, case):
+    tau, m, periods = CSV_CASES[case]
+    p = region_preset(region).params
+    if tau is not None:
+        p = p.replace(tau=tau)
+    s0 = VegState(0.1 * p.K_T, 0.05 * p.K_T, 0.5 * p.K_G)
+    return simulate(p, s0, horizon=periods * p.tau, h=p.tau / m, scheme=scheme)
+
+
+def _per_row_csv(traj):
+    """The CSV written one row at a time from ``samples`` and
+    ``impulse_records``: a fire time gets its pre-fire row, then the sample
+    as its post-fire row."""
+    pre_fire = {t: pre for t, pre, _ in traj.impulse_records}
+    lines = ["t,T_S,T_NS,G,event"]
+    for t, s in traj.samples:
+        pre = pre_fire.get(t)
+        if pre is None:
+            lines.append(f"{t:.17g},{s.t_s:.17g},{s.t_ns:.17g},{s.g:.17g},")
+        else:
+            lines.append(f"{t:.17g},{pre.t_s:.17g},{pre.t_ns:.17g},{pre.g:.17g},pre_fire")
+            lines.append(f"{t:.17g},{s.t_s:.17g},{s.t_ns:.17g},{s.g:.17g},post_fire")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("region, scheme, case", sorted(CSV_DIGESTS))
+def test_trajectory_csv_bytes_are_pinned(region, scheme, case):
+    csv = _csv_case(region, scheme, case).to_csv()
+    assert hashlib.sha256(csv.encode()).hexdigest() == CSV_DIGESTS[region, scheme, case]
+
+
+@pytest.mark.parametrize("scheme", ("nsfd", "reference"))
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+def test_to_csv_equals_a_per_row_writer(case, scheme):
+    for region in (1, 2, 3):
+        traj = _csv_case(region, scheme, case)
+        assert traj.to_csv() == _per_row_csv(traj)
+
+
+def _counting_stepper(monkeypatch):
+    """Count every step ``simulate`` takes, grid steps and the short last one."""
+    taken = Counter()
+    stepper = integrate._stepper
+
+    def counted(p, scheme, h):
+        step = stepper(p, scheme, h)
+
+        def step_and_count(ts, tns, g):
+            taken["steps"] += 1
+            return step(ts, tns, g)
+        return step_and_count
+    monkeypatch.setattr(integrate, "_stepper", counted)
+    return taken
+
+
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+def test_the_bench_tracer_counts_the_steps_taken(case, monkeypatch):
+    # bench/spans.py reads len(samples) - 1 as the integrate layer's step count
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    spans = importlib.import_module("spans")
+    for scheme in ("nsfd", "reference"):
+        taken = _counting_stepper(monkeypatch)
+        traj = _csv_case(3, scheme, case)
+        counts = Counter()
+        spans._simulate_counts(counts, traj)
+        assert counts["steps"] == taken["steps"] == len(traj.samples) - 1 > 0
+
+
+# step 2 is inside the first period, step 7 ends it (the pre-fire state) and
+# step 11 is the short last step to the horizon 10.5; (time, ``.6g`` of it)
+GUARD_STEPS = {2: (2.0, "2"), 7: (7.0, "7"), 11: (10.5, "10.5")}
+
+
+def _scripted_run(monkeypatch, at, bad):
+    """Region 1 (tau = 7) at h = 1 to 10.5 with a stepper that returns
+    (1, 1, 1) on every step but step ``at``, where it returns ``bad``."""
+    calls = Counter()
+
+    def stepper(p, scheme, h):
+        def step(ts, tns, g):
+            calls["n"] += 1
+            return bad if calls["n"] == at else (1.0, 1.0, 1.0)
+        return step
+    monkeypatch.setattr(integrate, "_stepper", stepper)
+    return simulate(r1(), VegState(1.0, 1.0, 1.0), horizon=10.5, h=1.0)
+
+
+def _state_after(traj, at):
+    return traj.impulse_records[0][1] if at == 7 else dict(traj.samples)[GUARD_STEPS[at][0]]
+
+
+@pytest.mark.parametrize("at", sorted(GUARD_STEPS))
+@pytest.mark.parametrize("bad", [(1.0, math.nan, 1.0), (math.inf, 1.0, 1.0),
+                                 (1.0, 1.0, -math.inf)], ids=("nan", "+inf", "-inf"))
+def test_the_step_guard_rejects_non_finite_states(at, bad, monkeypatch):
+    with pytest.raises(NumericalError) as err:
+        _scripted_run(monkeypatch, at, bad)
+    assert str(err.value) == f"state became non-finite at t = {GUARD_STEPS[at][1]}"
+
+
+@pytest.mark.parametrize("at", sorted(GUARD_STEPS))
+def test_the_step_guard_rejects_a_state_below_the_floor(at, monkeypatch):
+    # the floor is 1e-9 * max(K_T, K_G) = 3e-8 on region 1
+    with pytest.raises(NumericalError) as err:
+        _scripted_run(monkeypatch, at, (1.0, 1.0, -1e-6))
+    assert str(err.value) == (f"state left the feasible region at t = "
+                              f"{GUARD_STEPS[at][1]} (component -1e-06)")
+
+
+@pytest.mark.parametrize("at", sorted(GUARD_STEPS))
+def test_the_step_guard_clamps_rounding_undershoot_and_keeps_negative_zero(at, monkeypatch):
+    traj = _scripted_run(monkeypatch, at, (1.0, -2.5e-8, -0.0))
+    s = _state_after(traj, at)
+    assert (s.t_s, s.t_ns, s.g) == (1.0, 0.0, 0.0)
+    assert math.copysign(1.0, s.t_ns) == 1.0 and math.copysign(1.0, s.g) == -1.0
+    event = "pre_fire" if at == 7 else ""
+    assert f"{GUARD_STEPS[at][1]},1,0,-0,{event}" in traj.to_csv().split("\n")
+    assert traj.to_csv() == _per_row_csv(traj)
