@@ -13,8 +13,11 @@ Exit codes: 0 success, 1 usage error, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import functools
 import math
+import os
 import sys
 import warnings
 
@@ -142,13 +145,34 @@ def _echo_block(p: ModelParams) -> str:
     return "".join(f"# {line}\n" for line in dump_params_text(p).splitlines())
 
 
-def _emit(path: str | None, *texts: str) -> None:
-    """Write ``texts`` in order to ``path``, or to stdout without one."""
+def _check_output_path(path: str | None) -> None:
+    """Fail now, with the error that opening ``path`` for writing would raise
+    later, when it is a directory or its parent directory does not exist, so
+    that a long computation does not end in that error; create nothing."""
+    if not path:
+        return
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The file ``path``, created on entry and closed on exit, or stdout
+    without one.  Open it only once the output has been computed, so that a
+    failing command leaves no file."""
     if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(texts)
+            yield fh
     else:
-        sys.stdout.writelines(texts)
+        yield sys.stdout
+
+
+def _emit(path: str | None, *texts: str) -> None:
+    """Write ``texts`` in order to ``path``, or to stdout without one."""
+    with _output(path) as fh:
+        fh.writelines(texts)
 
 
 def _parse_state(spec: str | None, p: ModelParams, default) -> VegState:
@@ -189,13 +213,16 @@ def _cmd_classify(args) -> None:
 def _cmd_simulate(args) -> None:
     p = _load_params(args)
     s0 = _parse_state(args.s0, p, VegState(0.1 * p.K_T, 0.05 * p.K_T, 0.5 * p.K_G))
+    _check_output_path(args.output)
     try:
         traj = simulate(p, s0, horizon=args.horizon, h=args.h, scheme=args.scheme)
     except ValueError as exc:       # a bad horizon or step, or above the sample cap
         raise _UsageError(str(exc)) from None
     header = f"# scheme = {traj.scheme}, h_requested = {traj.h_requested:.17g}, " \
              f"h_effective = {traj.h_effective:.17g}\n"
-    _emit(args.output, _echo_block(p), header, traj.to_csv())
+    with _output(args.output) as fh:
+        fh.write(_echo_block(p) + header)
+        traj.to_csv(fh)
 
 
 def _cmd_floquet(args) -> None:
@@ -239,19 +266,17 @@ def _cmd_sweep(args) -> None:
         raise _UsageError(f"--level must be finite, got {args.level!r}")
     p = _load_params(args)
     axis1, axis2 = _parse_axes(args.axes)
+    _check_output_path(args.output)
+    _check_output_path(args.curves)
     try:
         gs = scan(p, axis1, axis2, args.quantity)
+        curve = None if args.level is None else level_curve(gs, args.level)
     except ValueError as exc:
         raise ParameterError(str(exc)) from None
-    out = _echo_block(p)
-    out += f"# quantity = {gs.quantity}\n"
-    out += gs.to_csv()
-    _emit(args.output, out)
-    if args.level is not None:
-        try:
-            curve = level_curve(gs, args.level)
-        except ValueError as exc:
-            raise ParameterError(str(exc)) from None
+    with _output(args.output) as fh:
+        fh.write(_echo_block(p) + f"# quantity = {gs.quantity}\n")
+        gs.to_csv(fh)
+    if curve is not None:
         cout = _echo_block(p)
         cout += f"# quantity = {gs.quantity}, level = {args.level:.17g}\n"
         cout += curve.to_csv()

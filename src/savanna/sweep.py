@@ -13,7 +13,9 @@ interpolation.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -62,18 +64,26 @@ class GridScan:
     values: np.ndarray            # (n1, n2); float (nan where undefined) or object
     defined: np.ndarray           # (n1, n2) bool
 
-    def to_csv(self) -> str:
+    def to_csv(self, file: TextIO | None = None) -> str | None:
+        """One row per cell, axis 1 outer.  Without ``file`` the CSV is
+        returned as one string; with one, each axis-1 row of cells is written
+        to it as it is formatted and nothing is returned."""
+        if file is None:
+            return "".join(self._csv_blocks())
+        file.writelines(self._csv_blocks())
+        return None
+
+    def _csv_blocks(self) -> Iterator[str]:
         # one string per axis-1 row: far fewer live objects than one per cell
-        rows = [f"{self.axis1.name},{self.axis2.name},value,defined"]
+        yield f"{self.axis1.name},{self.axis2.name},value,defined\n"
         a2 = [f"{y:.17g}" for y in self.axis2.values()]
         numeric = self.values.dtype != object
         for x, row, row_defined in zip(self.axis1.values(), self.values, self.defined):
             x = f"{x:.17g}"
-            rows.append("\n".join(
-                (f"{x},{y},{v:.17g},1" if numeric else f"{x},{y},{v},1") if ok
-                else f"{x},{y},undefined,0"
-                for y, v, ok in zip(a2, row.tolist(), row_defined.tolist())))
-        return "\n".join(rows) + "\n"
+            yield "".join(
+                (f"{x},{y},{v:.17g},1\n" if numeric else f"{x},{y},{v},1\n") if ok
+                else f"{x},{y},undefined,0\n"
+                for y, v, ok in zip(a2, row.tolist(), row_defined.tolist()))
 
 
 @dataclass(frozen=True)

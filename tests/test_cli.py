@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import savanna
@@ -313,3 +314,128 @@ def test_simulate_rejects_a_non_finite_horizon_or_step(capsys):
                              "--h", h)
         assert (code, out) == (1, ""), (horizon, h)
         assert err == f"savanna: usage error: {message}\n"
+
+
+def _simulated_csv(region, horizon, h):
+    """What ``simulate`` writes for a region preset and its default state."""
+    p = region_preset(region).params
+    traj = savanna.simulate(p, savanna.VegState(0.1 * p.K_T, 0.05 * p.K_T, 0.5 * p.K_G),
+                            horizon=horizon, h=h)
+    header = (f"# scheme = {traj.scheme}, h_requested = {traj.h_requested:.17g}, "
+              f"h_effective = {traj.h_effective:.17g}\n")
+    return cli._echo_block(p) + header + traj.to_csv()
+
+
+# (region, horizon, h): region 1 has tau = 7 and region 2 tau = 3.5, so the last
+# case has more rows between two fires than one formatting block holds
+STREAMED_SIMULATIONS = {
+    "off the grid": (1, 21.37, 0.5),
+    "no fire": (1, 6.3, 0.1),
+    "blocks between fires": (2, 30.0, 0.001),
+}
+
+
+def test_simulate_streams_the_csv_of_simulate(tmp_path, capsys):
+    for case, (region, horizon, h) in STREAMED_SIMULATIONS.items():
+        expected = _simulated_csv(region, horizon, h)
+        argv = ("simulate", "--region", str(region), "--horizon", str(horizon), "--h", str(h))
+        assert run(capsys, *argv) == (0, expected, ""), case
+        out = tmp_path / f"{case}.csv"
+        assert run(capsys, *argv, "--output", str(out)) == (0, "", ""), case
+        assert out.read_bytes() == expected.encode(), case
+
+
+def _scanned_csv(region, axes, quantity):
+    """What ``sweep`` writes for a region preset, without a level curve."""
+    p = region_preset(region).params
+    gs = savanna.scan(p, *cli._parse_axes(axes), quantity)
+    return cli._echo_block(p) + f"# quantity = {gs.quantity}\n" + gs.to_csv()
+
+
+# (region, axes, quantity)
+STREAMED_SWEEPS = {
+    "numeric": (1, "eta_G:0.1:0.87:21,sigma_NS:-0.029:-0.0155:11", "rho_t_g"),
+    "undefined cells": (1, "mu_G:0:0.4:5,eta_G:0.2:0.6:3", "r_g0"),
+    "case labels": (1, "sigma_G:0.5:0.99:6,sigma_NS:-0.029:-0.0155:4", "case"),
+}
+
+
+def test_sweep_streams_the_csv_of_scan(tmp_path, capsys):
+    for case, (region, axes, quantity) in STREAMED_SWEEPS.items():
+        expected = _scanned_csv(region, axes, quantity)
+        if case == "undefined cells":
+            assert "undefined,0" in expected
+        argv = ("sweep", "--region", str(region), "--axes", axes, "--quantity", quantity)
+        assert run(capsys, *argv) == (0, expected, ""), case
+        out = tmp_path / f"{case}.csv"
+        assert run(capsys, *argv, "--output", str(out)) == (0, "", ""), case
+        assert out.read_bytes() == expected.encode(), case
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the computation ran")
+
+
+def test_an_unwritable_output_path_fails_before_the_computation(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "simulate", _refuse)
+    monkeypatch.setattr(cli, "scan", _refuse)
+    missing = tmp_path / "missing_dir" / "x.csv"
+    sweep = ("sweep", "--region", "1", "--axes", "eta_G:0.1:0.87:5,sigma_NS:-0.029:-0.0155:5",
+             "--quantity", "rho_tg", "--level", "1")
+    for argv, path in (
+            (("simulate", "--region", "2", "--output", str(missing)), missing),
+            (("simulate", "--region", "2", "--output", str(tmp_path)), tmp_path),
+            ((*sweep, "--output", str(missing)), missing),
+            ((*sweep, "--output", str(tmp_path / "grid.csv"), "--curves", str(missing)), missing),
+            ((*sweep, "--output", str(tmp_path / "grid.csv"), "--curves", str(tmp_path)),
+             tmp_path)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        reason = "Is a directory" if path == tmp_path else "No such file or directory"
+        assert err.startswith("savanna: ") and reason in err and str(path) in err, argv
+        assert list(tmp_path.iterdir()) == [], argv
+
+
+def test_a_sweep_whose_level_curve_fails_writes_no_grid(tmp_path, capsys):
+    # a level curve over a categorical grid is a validation error
+    grid = tmp_path / "cases.csv"
+    argv = ("sweep", "--region", "1", "--axes", "sigma_G:0.9:0.99:3,sigma_NS:-0.029:-0.0155:3",
+            "--quantity", "case", "--level", "1.0")
+    for output in ((), ("--output", str(grid))):
+        code, out, err = run(capsys, *argv, *output)
+        assert (code, out) == (2, "")
+        assert err == "savanna: validation error: level curves need a numeric quantity\n"
+        assert not grid.exists()
+
+
+def _traced_peak(argv) -> int:
+    """Peak bytes that Python allocated in one ``main(argv)`` call."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_holds_its_samples_and_one_block_of_csv(tmp_path):
+    out = str(tmp_path / "run.csv")
+    assert main(["simulate", "--region", "2", "--horizon", "10", "--output", out]) == 0  # warm
+    peak = _traced_peak(["simulate", "--region", "2", "--horizon", "1000", "--h", "0.01",
+                         "--output", out])
+    n_samples = 100_001         # region 2 has tau = 3.5: 285 fires, each with two rows
+    rows = [line for line in Path(out).read_text().splitlines() if not line.startswith("#")]
+    assert len(rows) == 1 + n_samples + 285
+    # the CSV is 8.2 MB; the store of samples is 32 bytes each
+    assert peak < 32 * n_samples + 2e6, peak
+
+
+def test_sweep_holds_its_grid_and_one_row_of_csv(tmp_path):
+    out = str(tmp_path / "grid.csv")
+    argv = ["sweep", "--region", "1",
+            "--axes", "eta_G:0.1:0.87:201,sigma_NS:-0.029:-0.0155:201",
+            "--quantity", "rho_t_g", "--output", out]
+    assert main(argv) == 0       # warm
+    peak = _traced_peak(argv)
+    # the CSV is 2.3 MB; the grid holds 9 bytes a cell: a float and a flag
+    assert peak < 9 * 201 ** 2 + 2e6, peak

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import io
 import math
 from collections import Counter
 from pathlib import Path
@@ -450,6 +451,26 @@ def test_to_csv_equals_a_per_row_writer(case, scheme):
     for region in (1, 2, 3):
         traj = _csv_case(region, scheme, case)
         assert traj.to_csv() == _per_row_csv(traj)
+
+
+@pytest.mark.parametrize("scheme", ("nsfd", "reference"))
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+def test_to_csv_writes_to_a_file_the_string_it_returns(case, scheme):
+    for region in (1, 2, 3):
+        traj = _csv_case(region, scheme, case)
+        fh = io.StringIO()
+        assert traj.to_csv(fh) is None
+        assert fh.getvalue() == traj.to_csv()
+
+
+@pytest.mark.parametrize("scheme", ("nsfd", "reference"))
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+def test_n_samples_counts_the_samples_without_building_them(case, scheme):
+    for region in (1, 2, 3):
+        traj = _csv_case(region, scheme, case)
+        n = traj.n_samples
+        assert "samples" not in vars(traj)
+        assert n == len(traj.samples)
 
 
 def _counting_stepper(monkeypatch):

@@ -1,3 +1,4 @@
+import io
 import math
 from collections import Counter
 from types import SimpleNamespace
@@ -72,6 +73,35 @@ def test_scan_marks_undefined_cells():
     assert not gs.defined[0].any()
     assert gs.defined[1:].all()
     assert "undefined" in gs.to_csv()
+
+
+def _per_cell_csv(gs):
+    """The grid CSV written one cell at a time."""
+    lines = [f"{gs.axis1.name},{gs.axis2.name},value,defined"]
+    for i, x in enumerate(gs.axis1.values()):
+        for j, y in enumerate(gs.axis2.values()):
+            v = gs.values[i, j]
+            if not gs.defined[i, j]:
+                lines.append(f"{x:.17g},{y:.17g},undefined,0")
+            elif gs.values.dtype == object:
+                lines.append(f"{x:.17g},{y:.17g},{v},1")
+            else:
+                lines.append(f"{x:.17g},{y:.17g},{float(v):.17g},1")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("quantity, axis1", [
+    ("r_g0", AxisSpec("mu_G", 0.0, 0.4, 5)),        # mu_G = 0 leaves r_g0 undefined
+    ("rho_t_g", AxisSpec("eta_G", 0.1, 0.87, 7)),
+    ("case", AxisSpec("sigma_G", 0.5, 0.99, 6)),    # object-dtype labels
+])
+def test_grid_csv_equals_a_per_cell_writer_returned_or_written(quantity, axis1):
+    gs = scan(base1(), axis1, AxisSpec("sigma_NS", -0.029, -0.0155, 4), quantity)
+    csv = gs.to_csv()
+    assert csv == _per_cell_csv(gs)
+    fh = io.StringIO()
+    assert gs.to_csv(fh) is None
+    assert fh.getvalue() == csv
 
 
 def test_scan_rejects_bad_requests():
