@@ -35,8 +35,8 @@ from .model import (
 )
 from .thresholds import CRITICAL_FIELDS, ThresholdError, compute_thresholds, critical_values
 from .integrate import simulate
-from .floquet import DEFAULT_STEPS, floquet_report
-from .sweep import AxisSpec, DEFAULT_GRID_N, level_curve, scan
+from .floquet import DEFAULT_STEPS, MAX_STEPS, floquet_report
+from .sweep import AxisSpec, DEFAULT_GRID_N, _require_cells, level_curve, scan
 
 USAGE_ERROR = 1
 VALIDATION_ERROR = 2
@@ -227,9 +227,10 @@ def _cmd_simulate(args) -> None:
 
 def _cmd_floquet(args) -> None:
     p = _load_params(args)
-    if args.steps < 1:
-        raise _UsageError(f"--steps must be at least 1, got {args.steps}")
+    if not 1 <= args.steps <= MAX_STEPS:
+        raise _UsageError(f"--steps must lie in [1, {MAX_STEPS}], got {args.steps}")
     guess = _parse_state(args.guess, p, None)      # None: floquet_report's default
+    _check_output_path(args.output)
     rep = floquet_report(p, guess, n=args.steps)
     out = _echo_block(p)
     out += f"# residual = {rep.residual:.17g}, boundary = {rep.boundary or 'interior'}\n"
@@ -256,6 +257,10 @@ def _parse_axes(spec: str) -> tuple[AxisSpec, AxisSpec]:
             axes.append(AxisSpec(name, lo, hi, n))
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
+    try:
+        _require_cells(*axes)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     return axes[0], axes[1]
 
 

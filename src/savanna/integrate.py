@@ -26,12 +26,13 @@ a last pass without a fire takes the grid steps left after the last fire.  A
 horizon off the grid ends with one shorter step.  Each step's state goes to
 ``_sanitize`` only when a component is negative or not finite.  Every sample
 is kept in memory as four floats of one flat store, 32 bytes a sample, with
-no ``VegState`` per step, so ``simulate`` refuses runs with ``horizon / h``
-above ``MAX_SAMPLES`` (10^7).  ``Trajectory.to_csv`` formats the rows
-between two fires in blocks, one ``%`` call per block, and given a file it
-writes each block there as it is formatted.  The CLI streams its CSV that
-way, so a command holds the store and one block: a 1000-year run at
-``h = 0.01`` writes 8.2 MB of CSV and holds about 3.5 MB.
+no ``VegState`` per step, so ``simulate`` refuses runs that would keep more
+than ``MAX_SAMPLES`` (10^7) samples at the snapped step.
+``Trajectory.to_csv`` formats the rows between two fires in blocks, one
+``%`` call per block, and given a file it writes each block there as it is
+formatted.  The CLI streams its CSV that way, so a command holds the store
+and one block: a 1000-year run at ``h = 0.01`` writes 8.2 MB of CSV and
+holds about 3.5 MB.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ __all__ = [
     "reference_step", "simulate",
 ]
 
-# horizon / h.  The CSV is streamed, but every sample is still kept, four floats
-# (32 bytes) each, so the cap bounds the store of one run at 320 MB.
+# samples of one run, horizon / h_eff.  The CSV is streamed, but every sample is
+# still kept, four floats (32 bytes) each, so the cap bounds the store at 320 MB.
 MAX_SAMPLES = 10**7
 _UNDERSHOOT_FLOOR = 1e-9  # a state below -this * max(K_T, K_G) has left the feasible region
 _ROW = "%.17g,%.17g,%.17g,%.17g,\n"
@@ -78,9 +79,13 @@ def denominators(p: ModelParams, h: float) -> DenominatorFunctions:
     if h <= 0:
         raise ValueError(f"step must be positive, got {h}")
     q = max(p.mu_NS, p.gamma_S - (p.mu_S + p.omega_S))
-    phi = math.expm1(q * h) / q if q != 0.0 else h
     rate = p.gamma_G - p.mu_G
-    phi_g = math.expm1(rate * h) / rate if rate != 0.0 else h
+    try:
+        phi = math.expm1(q * h) / q if q != 0.0 else h
+        phi_g = math.expm1(rate * h) / rate if rate != 0.0 else h
+    except OverflowError:
+        raise NumericalError(f"the NSFD denominators overflow at step {h:.3g} (rates "
+                             f"{q:.3g} and {rate:.3g}); reduce the step") from None
     return DenominatorFunctions(q=q, phi=phi, phi_g=phi_g)
 
 
@@ -236,12 +241,16 @@ def simulate(p: ModelParams, s0: VegState, horizon: float, h: float,
         raise ValueError(f"step h must be positive and finite, got {h}")
     if scheme not in ("nsfd", "reference"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    if not horizon / h <= MAX_SAMPLES:
+    # grid steps per fire period; inf where tau / h overflows, which ceil refuses
+    ratio = p.tau / h - 1e-12
+    m = max(1, math.ceil(ratio)) if ratio < math.inf else math.inf
+    # the loop keeps horizon / h_eff samples, give or take two
+    kept = m * (horizon / p.tau)
+    if not kept <= MAX_SAMPLES:
         raise ValueError(
-            f"the run would keep horizon / h = {horizon / h:.3g} samples; the cap "
-            f"is {MAX_SAMPLES:.0e} (use a longer step or a shorter horizon)")
-
-    m = max(1, math.ceil(p.tau / h - 1e-12))
+            f"the run would keep horizon / h_eff = {kept:.3g} samples at the effective "
+            f"step h_eff = tau / ceil(tau / h); the cap is {MAX_SAMPLES:.0e} (use a "
+            f"longer step or a shorter horizon)")
     h_eff = p.tau / m
     step = _stepper(p, scheme, h_eff)
 

@@ -125,7 +125,6 @@ class VegState:
 @dataclass(frozen=True)
 class ValidationReport:
     errors: tuple[str, ...]
-    warnings: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
@@ -134,7 +133,10 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class RegionPreset:
-    """Defaults and admissible ranges for one ecological region (1, 2 or 3)."""
+    """Defaults and admissible ranges for one ecological region (1, 2 or 3).
+
+    The ranges are advisory: ``savanna presets`` prints them and random
+    draws sample them, but no parameter check reads them."""
 
     region: int
     params: ModelParams
@@ -167,8 +169,11 @@ def fire_intensity(g: float, fire: FireIntensityParams) -> float:
     """Fire intensity w(g) in [0, 1); strictly increasing, w(g0) = 1/2."""
     if g < 0:
         raise ValueError(f"grass biomass must be nonnegative, got {g}")
-    ga = g ** fire.alpha
-    return ga / (ga + fire.g0 ** fire.alpha)
+    try:
+        ga = g ** fire.alpha
+        return ga / (ga + fire.g0 ** fire.alpha)
+    except ArithmeticError as exc:          # an overflow, or 0/0 from underflows
+        raise _fire_failure("w", g, fire, exc) from None
 
 
 def fire_intensity_slope(g: float, fire: FireIntensityParams) -> float:
@@ -176,10 +181,18 @@ def fire_intensity_slope(g: float, fire: FireIntensityParams) -> float:
     if g < 0:
         raise ValueError(f"grass biomass must be nonnegative, got {g}")
     a = fire.alpha
-    g0a = fire.g0 ** a
     if g == 0.0:
         return 1.0 / fire.g0 if a == 1 else 0.0
-    return a * g ** (a - 1) * g0a / (g ** a + g0a) ** 2
+    try:
+        g0a = fire.g0 ** a
+        return a * g ** (a - 1) * g0a / (g ** a + g0a) ** 2
+    except ArithmeticError as exc:
+        raise _fire_failure("dw/dG", g, fire, exc) from None
+
+
+def _fire_failure(what, g, fire, exc) -> NumericalError:
+    return NumericalError(f"fire intensity {what} fails in floating point at G = {g:.3g} "
+                          f"(g0 = {fire.g0:.3g}, alpha = {fire.alpha}): {exc}")
 
 
 def _rhs(ts: float, tns: float, g: float, p: ModelParams):
@@ -244,35 +257,15 @@ _INVARIANTS = (
 )
 
 
-def validate(p: ModelParams, preset: RegionPreset | None = None) -> ValidationReport:
-    """Check hard invariants (errors) and region ranges (warnings).
-
-    Every violated invariant is listed; range departures are warnings only,
-    taken against ``preset.ranges`` when a preset is supplied.
-    """
-    errors: list[str] = []
-    warnings: list[str] = []
-
-    for key, value in p.flat().items():
-        if not math.isfinite(value):
-            errors.append(f"{key} must be finite, got {value}")
-    if errors:
-        return ValidationReport(tuple(errors), ())
-
-    for keys, violated, what in _INVARIANTS:
-        for key in keys:
-            value = getattr(p, key)
-            if violated(value):
-                errors.append(f"{key} {what}, got {value}")
-
-    if preset is not None:
-        for key, (lo, hi) in preset.ranges.items():
-            value = p.flat()[key]
-            if not (lo - 1e-12 <= value <= hi + 1e-12):
-                warnings.append(
-                    f"{key} = {value:g} outside region-{preset.region} range [{lo:g}, {hi:g}]"
-                )
-    return ValidationReport(tuple(errors), tuple(warnings))
+def validate(p: ModelParams) -> ValidationReport:
+    """Check the hard invariants; every violated one is listed."""
+    errors = [f"{key} must be finite, got {value}"
+              for key, value in p.flat().items() if not math.isfinite(value)]
+    if not errors:
+        errors = [f"{key} {what}, got {getattr(p, key)}"
+                  for keys, violated, what in _INVARIANTS
+                  for key in keys if violated(getattr(p, key))]
+    return ValidationReport(tuple(errors))
 
 
 def _valid_cells(flat) -> np.ndarray:

@@ -36,6 +36,9 @@ DEFAULT_GRID_N = 101
 DEFAULT_RHO_TG_N = 21
 # axis-1 rows per closed-form block: bounds the kernel's temporaries
 ROW_BLOCK = 16
+# cells of one grid: its values and defined mask hold 9 bytes a cell (90 MB at
+# the cap), and its CSV takes 40 to 80 bytes a cell (about 0.5 GB)
+MAX_CELLS = 10**7
 
 
 @dataclass(frozen=True)
@@ -139,6 +142,13 @@ def _closed_form_rows(base: ModelParams, quantity: str, axis1: AxisSpec,
     return np.where(ok, v, np.nan), ok
 
 
+def _require_cells(axis1: AxisSpec, axis2: AxisSpec) -> None:
+    if axis1.n * axis2.n > MAX_CELLS:
+        raise ValueError(
+            f"a grid of {axis1.n}x{axis2.n} = {axis1.n * axis2.n:.3g} cells is above "
+            f"the cap of {MAX_CELLS:.0e} cells (use fewer points per axis)")
+
+
 def scan(base: ModelParams, axis1: AxisSpec, axis2: AxisSpec, quantity: str,
          concurrent: bool = False) -> GridScan:
     """Evaluate ``quantity`` on the full axis1 x axis2 grid.
@@ -152,7 +162,8 @@ def scan(base: ModelParams, axis1: AxisSpec, axis2: AxisSpec, quantity: str,
     location and monodromy machinery one after another in row-major order;
     they are orders of magnitude slower and a runtime warning is issued for
     large grids.  ``concurrent`` is accepted for compatibility only and
-    changes nothing.
+    changes nothing.  A grid of more than ``MAX_CELLS`` cells is refused
+    before anything is allocated.
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}; expected one of {QUANTITIES}")
@@ -161,6 +172,7 @@ def scan(base: ModelParams, axis1: AxisSpec, axis2: AxisSpec, quantity: str,
             raise ValueError(f"invalid axis parameter {ax.name!r}")
     if axis1.name == axis2.name:
         raise ValueError("the two axes must scan different parameters")
+    _require_cells(axis1, axis2)
     if quantity == "rho_tg" and axis1.n * axis2.n > DEFAULT_RHO_TG_N ** 2:
         warnings.warn(
             f"rho_tg scan of {axis1.n}x{axis2.n} cells is expensive; "

@@ -29,8 +29,8 @@ above one) plus global-stability verdicts for the remaining quadrants.  It is
 one ordered rule table, ``_RULES``: degenerate (a quantity within
 ``DEGENERATE_TOL`` of one) and global-stability rules first, then the eleven
 cases as sign patterns of ``r_t_g``, ``rho_g0``, ``rho_t_g``, ``r_g_t`` and
-``rho_t``; the first rule that holds gives the label.  ``compute_thresholds``,
-``classify`` and grid scans all read that table.
+``rho_t``; the first rule that holds gives the label.  ``compute_thresholds``
+and grid scans read that table, and ``classify`` reads the label it gave.
 
 Every closed form is computed by one kernel, ``_closed_forms``, on floats or
 on broadcastable arrays: ``compute_thresholds`` and ``critical_values`` run it
@@ -99,38 +99,20 @@ class ThresholdReport:
         "forest_exists", "savanna_existence_condition", "classification",
     )
 
-    def csv_row(self) -> dict[str, str]:
+    def to_csv(self) -> str:
         def num(v):
             return "undefined" if v is None else f"{v:.17g}"
 
-        return {
-            "r_t0": num(self.r_t0),
-            "r_g0": num(self.r_g0),
-            "rho_g0": num(self.rho_g0),
-            "g_int": num(self.g_int),
-            "r_g_t": num(self.r_g_t),
-            "r": num(self.r),
-            "a_coef": num(self.a_coef),
-            "b_coef": num(self.b_coef),
-            "lambda1_re": num(self.lambda1.real),
-            "lambda1_im": num(self.lambda1.imag),
-            "lambda2_re": num(self.lambda2.real),
-            "lambda2_im": num(self.lambda2.imag),
-            "rho_t": num(self.rho_t),
-            "r_t_g": num(self.r_t_g),
-            "rho_t_g": num(self.rho_t_g),
-            "t_s_bar": num(self.forest_eq.t_s if self.forest_eq else None),
-            "t_ns_bar": num(self.forest_eq.t_ns if self.forest_eq else None),
-            "grassland_exists": str(int(self.grassland_exists)),
-            "forest_exists": str(int(self.forest_exists)),
-            "savanna_existence_condition": str(int(self.savanna_existence_condition)),
-            "classification": self.classification,
-        }
-
-    def to_csv(self) -> str:
-        row = self.csv_row()
-        header = ",".join(self.CSV_FIELDS)
-        return header + "\n" + ",".join(row[f] for f in self.CSV_FIELDS) + "\n"
+        eq = self.forest_eq
+        row = [num(v) for v in (
+            self.r_t0, self.r_g0, self.rho_g0, self.g_int, self.r_g_t, self.r,
+            self.a_coef, self.b_coef, self.lambda1.real, self.lambda1.imag,
+            self.lambda2.real, self.lambda2.imag, self.rho_t, self.r_t_g, self.rho_t_g,
+            None if eq is None else eq.t_s, None if eq is None else eq.t_ns)]
+        row += [str(int(flag)) for flag in (
+            self.grassland_exists, self.forest_exists, self.savanna_existence_condition)]
+        row.append(self.classification)
+        return ",".join(self.CSV_FIELDS) + "\n" + ",".join(row) + "\n"
 
     def to_text(self) -> str:
         def num(v):
@@ -551,6 +533,8 @@ _CASE_OF_PATTERN = np.array([_case_of_pattern(code) for code in range(2 ** len(_
 _OUTCOMES = tuple(outcome for outcome, _ in _RULES) + tuple(
     _Outcome(f"case_{n}", n, "numerical") for n in range(1, len(_CASE_SIGNS) + 1))
 _LABELS = np.array([outcome.label for outcome in _OUTCOMES], dtype=object)
+# a label names one outcome: the rules that share a label share its outcome
+_OUTCOME_OF_LABEL = {outcome.label: outcome for outcome in _OUTCOMES}
 
 
 def _rule_index(facts) -> np.ndarray:
@@ -585,15 +569,8 @@ def _verdicts(r_t_g, rho_t_g, r_g_t, rho_t, grassland_exists, forest_exists):
 
 
 def classify(rep: ThresholdReport) -> Classification:
-    """Re-derive the classification from a computed report."""
-    def fact(v):
-        return math.nan if v is None else v
-
-    outcome = _OUTCOMES[int(_rule_index({
-        "r_t0": rep.r_t0, "r_g0": fact(rep.r_g0), "rho_g0": rep.rho_g0,
-        "r_t_g": fact(rep.r_t_g), "rho_t_g": fact(rep.rho_t_g), "r_g_t": rep.r_g_t,
-        "rho_t": rep.rho_t, "has_r_g0": rep.r_g0 is not None,
-    }))]
+    """The outcome of a computed report's case label, with the local verdicts."""
+    outcome = _OUTCOME_OF_LABEL[rep.classification]
     e_t, e_g = _verdicts(rep.r_t_g, rep.rho_t_g, rep.r_g_t, rep.rho_t,
                          rep.grassland_exists, rep.forest_exists)
     return Classification(label=outcome.label, case=outcome.case, e_t=e_t, e_g=e_g,

@@ -4,7 +4,11 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import pytest
+
 import savanna
+import savanna.integrate
+import savanna.sweep
 from savanna import cli, dump_params_text, region_preset
 from savanna.cli import main
 from draws import CLAMP_CASES
@@ -303,6 +307,52 @@ def test_simulate_rejects_more_samples_than_the_cap():
         assert "savanna: usage error:" in proc.stderr and "the cap is" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+
+def test_simulate_cap_counts_the_samples_at_the_snapped_step(monkeypatch):
+    # tau = 0.001 snaps h = 0.01 to h_eff = 0.001: horizon / h is 1000, but the
+    # run keeps 10001 samples
+    p = region_preset(1).params.replace(tau=0.001)
+    s0 = savanna.VegState(3.0, 1.5, 1.25)
+    monkeypatch.setattr(savanna.integrate, "MAX_SAMPLES", 5000)
+    with pytest.raises(ValueError, match="the cap is 5e\\+03"):
+        savanna.simulate(p, s0, horizon=10.0, h=0.01)
+    monkeypatch.setattr(savanna.integrate, "MAX_SAMPLES", 20000)
+    assert savanna.simulate(p, s0, horizon=10.0, h=0.01).n_samples == 10001
+
+
+def test_simulate_with_more_steps_per_period_than_floats_hold_is_usage_error(capsys):
+    # tau / h overflows to inf, which math.ceil refuses
+    code, out, err = run(capsys, "simulate", "--region", "1", "--set", "tau=1e308",
+                         "--horizon", "10")
+    assert (code, out) == (1, "")
+    assert err.startswith("savanna: usage error:") and "the cap is 1e+07" in err
+
+
+def test_sweep_refuses_a_grid_past_the_cell_cap(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "scan", _refuse)
+    code, out, err = run(capsys, "sweep", "--region", "1", "--quantity", "rho_t",
+                         "--axes", "tau:1:2:100000000,eta_G:0:1:100000000")
+    assert (code, out) == (1, "")
+    assert err.startswith("savanna: usage error:") and "the cap of 1e+07 cells" in err
+    # the library refuses it before it allocates the grid
+    with pytest.raises(ValueError, match="cap"):
+        savanna.sweep.scan(region_preset(1).params, savanna.AxisSpec("tau", 1.0, 2.0, 10**8),
+                           savanna.AxisSpec("eta_G", 0.0, 1.0, 10**8), "rho_t")
+
+
+def test_floquet_refuses_huge_steps_and_bad_outputs_before_locating(tmp_path, capsys,
+                                                                    monkeypatch):
+    monkeypatch.setattr(cli, "floquet_report", _refuse)
+    code, out, err = run(capsys, "floquet", "--region", "1", "--steps", "2000000000")
+    assert (code, out) == (1, "")
+    assert err == "savanna: usage error: --steps must lie in [1, 65536], got 2000000000\n"
+    for path, reason in ((tmp_path / "missing_dir" / "x.csv", "No such file or directory"),
+                         (tmp_path, "Is a directory")):
+        code, out, err = run(capsys, "floquet", "--region", "1", "--output", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("savanna: ") and reason in err and str(path) in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_rejects_a_non_finite_horizon_or_step(capsys):

@@ -330,6 +330,21 @@ def test_step_count_below_one_is_rejected():
             monodromy_full(p, VegState(10, 10, 2), n=n)
 
 
+def test_step_count_above_the_cap_is_rejected_before_any_pass(monkeypatch):
+    monkeypatch.setattr(floquet, "_flow_variational", _never)
+    monkeypatch.setattr(floquet, "_period_map", _never)
+    p = case1_region2_params()
+    for n in (floquet.MAX_STEPS + 1, 2_000_000_000):
+        with pytest.raises(ValueError, match="steps per period must lie in"):
+            locate_savanna_orbit(p, VegState(10, 10, 2), n=n)
+        with pytest.raises(ValueError, match="steps per period must lie in"):
+            monodromy_full(p, VegState(10, 10, 2), n=n)
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("a period was integrated")
+
+
 # ---------------------------------------------------------------------------
 # orbit location
 # ---------------------------------------------------------------------------

@@ -27,6 +27,17 @@ from draws import draw_region_params, draw_state_in_omega
 # fire intensity
 # ---------------------------------------------------------------------------
 
+def test_fire_intensity_that_fails_in_floating_point_is_a_numerical_error():
+    from savanna.model import NumericalError
+    for g, fire in ((1e200, FireIntensityParams(1.0)),        # g ** 2 overflows
+                    (1.0, FireIntensityParams(1e200)),        # g0 ** 2 overflows
+                    (1e-170, FireIntensityParams(1e-170))):   # 0 / 0 from underflows
+        with pytest.raises(NumericalError, match="fire intensity"):
+            fire_intensity(g, fire)
+        with pytest.raises(NumericalError, match="fire intensity"):
+            fire_intensity_slope(g, fire)
+
+
 def test_fire_intensity_zero_and_half_saturation():
     fire = FireIntensityParams(g0=1.25, alpha=2)
     assert fire_intensity(0.0, fire) == 0.0
@@ -173,8 +184,10 @@ def test_impulse_never_increases_and_preserves_tns():
 def test_validate_accepts_presets():
     for region in (1, 2, 3):
         preset = region_preset(region)
-        rep = validate(preset.params, preset)
-        assert rep.ok and not rep.warnings
+        assert validate(preset.params).ok
+        flat = preset.params.flat()
+        for key, (lo, hi) in preset.ranges.items():
+            assert lo <= flat[key] <= hi, (region, key)
 
 
 def test_validate_lists_every_violation():
@@ -214,14 +227,6 @@ def test_every_construction_checks_the_invariants(changes, message):
         with pytest.raises(ParameterError) as err:
             build()
         assert str(err.value) == message
-
-
-def test_validate_range_warnings_are_not_errors():
-    preset = region_preset(2)
-    p = preset.params.replace(tau=9.0)  # outside [2, 5]
-    rep = validate(p, preset)
-    assert rep.ok
-    assert any("tau" in w for w in rep.warnings)
 
 
 def test_negative_sigma_ns_is_legal():

@@ -17,6 +17,8 @@ from savanna import (
     vector_field,
     VegState,
 )
+from savanna import thresholds
+from savanna.thresholds import _OUTCOME_OF_LABEL, _OUTCOMES, _rule_index
 from draws import draw_region_params, draw_valid_params
 
 
@@ -252,6 +254,47 @@ def test_identical_reports_classify_identically():
     rep = compute_thresholds(r1(sigma_G=0.93))
     assert classify(rep) == classify(rep)
     assert classify(rep).label == rep.classification
+
+
+def _rule_table_outcome(rep):
+    """The outcome the rule table gives on a report's own facts: the reference
+    that ``classify``'s label lookup must agree with."""
+    def fact(v):
+        return math.nan if v is None else v
+
+    return _OUTCOMES[int(_rule_index({
+        "r_t0": rep.r_t0, "r_g0": fact(rep.r_g0), "rho_g0": rep.rho_g0,
+        "r_t_g": fact(rep.r_t_g), "rho_t_g": fact(rep.rho_t_g), "r_g_t": rep.r_g_t,
+        "rho_t": rep.rho_t, "has_r_g0": rep.r_g0 is not None,
+    }))]
+
+
+def test_classify_reads_the_label_the_rule_table_gives(monkeypatch):
+    rng = np.random.default_rng(2028)
+    reports = []
+    for _ in range(60):
+        p = draw_region_params(rng, int(rng.integers(1, 4)), interval_only=False)
+        reports.append(compute_thresholds(p))
+        # pinned at a threshold, for the degenerate labels
+        if reports[-1].r_g0 is not None and reports[-1].r_g0 > 1:
+            reports.append(compute_thresholds(p.replace(eta_G=eta_g_boundary(p))))
+        cv = critical_values(p)
+        if cv.sigma_ns_star is not None:
+            reports.append(compute_thresholds(p.replace(sigma_NS=cv.sigma_ns_star)))
+    expected = [_rule_table_outcome(rep) for rep in reports]
+    kinds = {o.label.split("(")[0].split("_")[-1] for o in expected}
+    assert {"gas", "degenerate", "1", "3"} <= kinds
+
+    def no_rule_table(facts):
+        raise AssertionError("classify reran the rule table")
+
+    monkeypatch.setattr(thresholds, "_rule_index", no_rule_table)
+    for rep, outcome in zip(reports, expected):
+        cls = classify(rep)
+        assert (cls.label, cls.case, cls.savanna) == outcome
+    # rules that share a label share its outcome
+    for outcome in _OUTCOMES:
+        assert _OUTCOME_OF_LABEL[outcome.label] == outcome
 
 
 def test_region3_defaults_fall_in_forest_stable_cases():
